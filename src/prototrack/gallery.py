@@ -38,8 +38,8 @@ class TrainingTrack:
             raise ValueError(f"invalid track label: {self.label!r}")
         if not self.samples:
             raise EmptyInput(f"track {self.label!r} has no samples")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive: {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite: {self.fps}")
         frames = [f for f, _ in self.samples]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"track {self.label!r} frames must strictly increase")

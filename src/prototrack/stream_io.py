@@ -7,18 +7,27 @@ inputs: keys are emitted in a fixed order and every real number is
 canonicalized to 9 significant digits, which round-trips the 32-bit values
 the files store. In-memory arithmetic stays 64-bit; vectors are narrowed to
 32-bit on write and re-normalized on read.
+
+The canonical text of a real x is repr(canonical_float(x)), the repr of its
+9-significant-digit value: ``96.0``, ``-0.0``, ``0.100000001``, ``1e-05``,
+``1234567940.0``. Non-finite values would be spelled ``NaN``, ``Infinity``
+and ``-Infinity`` as json.dumps spells them, but the readers reject them:
+every number in an input file must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     EmptyGallery,
+    InvalidEmbedding,
     OutOfOrderFrame,
     ParseError,
     UnsupportedVersion,
@@ -48,9 +57,51 @@ def canonical_float(x) -> float:
     return float(format(float(x), ".9g"))
 
 
-def _vec32(values) -> list:
-    arr = np.asarray(values, dtype=np.float32)
-    return [canonical_float(v) for v in arr]
+def _float_text(x) -> str:
+    """canonical_float(x) as JSON text, spelled as json.dumps spells it."""
+    x = canonical_float(x)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+@lru_cache(maxsize=64)
+def _array_format(shape, spec) -> str:
+    """A %-format for a nested JSON array of `shape` with `spec` per number."""
+    if not shape:
+        return spec
+    inner = _array_format(shape[1:], spec)
+    return "[" + ",".join([inner] * shape[0]) + "]"
+
+
+def _float_arrays(values) -> list:
+    """JSON text of each item of `values` (equal-shape vectors or matrices)
+    narrowed to float32, every number spelled as _float_text spells it.
+
+    One %.9g pass formats every number. A decimal of at most 9 significant
+    digits already has the digits of the repr of the double nearest to it,
+    because doubles lie far closer together than such decimals, so only
+    tokens that %g and repr lay out differently are rewritten: integral
+    values below 1e9 (repr adds ".0"), values from 1e9 to 1e16 (repr stays
+    positional) and non-finite ones.
+    """
+    with np.errstate(invalid="ignore"):  # a signalling NaN is still a NaN
+        a = np.asarray(values, dtype=np.float32).astype(np.float64)
+    shape = a.shape[1:]
+    flat = a.reshape(len(a), math.prod(shape))
+    rows = flat.tolist()
+    texts = [_array_format(shape, "%.9g") % tuple(row) for row in rows]
+    mag = np.abs(flat)
+    # 0: %.9g is canonical, 1: "%.1f" is, 2: neither is
+    kind = (((flat == np.floor(flat)) & (mag < 1e9))
+            + 2 * (~np.isfinite(flat) | (mag >= 1e9) & (mag < 1e16)))
+    for i in np.flatnonzero(kind.any(axis=1)).tolist():
+        tokens = [_float_text(x) if k == 2 else ("%.9g", "%.1f")[k] % x
+                  for x, k in zip(rows[i], kind[i].tolist())]
+        texts[i] = _array_format(shape, "%s") % tuple(tokens)
+    return texts
+
+
+def _int_array(values) -> str:
+    return "[" + ",".join(["%d" % v for v in values]) + "]"
 
 
 def _dump(obj) -> str:
@@ -65,19 +116,34 @@ class StreamHeader:
     embedding_dim: int
     version: int = STREAM_VERSION
 
+    def __post_init__(self):
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite: {self.fps}")
+
     @property
     def frame_area(self) -> float:
         return float(self.frame_width * self.frame_height)
 
 
-def _detection_record(d: Detection) -> dict:
-    rec = {"box": _vec32([d.box.x, d.box.y, d.box.w, d.box.h])}
-    if d.landmarks is not None:
-        rec["landmarks"] = [_vec32(p) for p in d.landmarks.points]
-    rec["embedding"] = _vec32(d.embedding)
-    if d.gt_label is not None:
-        rec["gt_label"] = d.gt_label
-    return rec
+def _box_rows(boxes) -> list:
+    return _float_arrays([(b.x, b.y, b.w, b.h) for b in boxes])
+
+
+def _frame_record(frame_index, detections) -> str:
+    boxes = _box_rows([d.box for d in detections])
+    marks = iter(_float_arrays([d.landmarks.points for d in detections
+                                if d.landmarks is not None]))
+    embeddings = _float_arrays([d.embedding for d in detections])
+    records = []
+    for d, box, embedding in zip(detections, boxes, embeddings):
+        rec = '{"box":' + box
+        if d.landmarks is not None:
+            rec += ',"landmarks":' + next(marks)
+        rec += ',"embedding":' + embedding
+        if d.gt_label is not None:
+            rec += ',"gt_label":' + json.dumps(d.gt_label)
+        records.append(rec + "}")
+    return '{"frame":%d,"detections":[%s]}\n' % (frame_index, ",".join(records))
 
 
 def write_stream(path, header: StreamHeader, frames) -> None:
@@ -91,20 +157,21 @@ def write_stream(path, header: StreamHeader, frames) -> None:
             "embedding_dim": header.embedding_dim,
         }) + "\n")
         for frame_index, detections in frames:
-            fh.write(_dump({
-                "frame": int(frame_index),
-                "detections": [_detection_record(d) for d in detections],
-            }) + "\n")
+            fh.write(_frame_record(frame_index, detections))
 
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
     try:
         bx = rec["box"]
-        box = BoundingBox(float(bx[0]), float(bx[1]), float(bx[2]), float(bx[3]))
-        landmarks = None
+        coords = [float(bx[0]), float(bx[1]), float(bx[2]), float(bx[3])]
+        points = None
         if "landmarks" in rec:
-            landmarks = Landmarks(tuple(
-                (float(p[0]), float(p[1])) for p in rec["landmarks"]))
+            points = tuple((float(p[0]), float(p[1])) for p in rec["landmarks"])
+            coords += [v for p in points for v in p]
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("non-finite box or landmark coordinate")
+        box = BoundingBox(*coords[:4])
+        landmarks = None if points is None else Landmarks(points)
         emb = np.asarray(rec["embedding"], dtype=np.float64)
         gt = rec.get("gt_label")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -113,6 +180,8 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
         raise ParseError(
             f"embedding has dim {emb.shape}, header says {dim}", lineno)
     norm = float(np.linalg.norm(emb))
+    if not math.isfinite(norm):
+        raise ParseError("non-finite embedding", lineno)
     if norm == 0.0:
         raise ParseError("zero embedding", lineno)
     if abs(norm - 1.0) > DRIFT_TOL:
@@ -192,23 +261,17 @@ def write_gallery(gallery: Gallery, path) -> None:
     """Write a gallery as a single JSON document (labels sorted)."""
     if not gallery.entries:
         raise EmptyGallery("refusing to write a gallery with no prototypes")
-    doc = {
-        "version": GALLERY_VERSION,
-        "method": gallery.method,
-        "k": gallery.k,
-        "seed": gallery.seed,
-        "embedding_dim": gallery.dim,
-        "entries": [
-            {
-                "label": label,
-                "frames": [p.source_frame for p in gallery.entries[label]],
-                "prototypes": [_vec32(p.vector) for p in gallery.entries[label]],
-            }
-            for label in gallery.labels
-        ],
-    }
+    entries = []
+    for label in gallery.labels:
+        protos = gallery.entries[label]
+        entries.append('{"label":%s,"frames":%s,"prototypes":[%s]}' % (
+            json.dumps(label), _int_array([p.source_frame for p in protos]),
+            ",".join(_float_arrays([p.vector for p in protos]))))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump(doc) + "\n")
+        fh.write('{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
+                 '"entries":[%s]}\n' % (
+                     GALLERY_VERSION, json.dumps(gallery.method), json.dumps(gallery.k),
+                     json.dumps(gallery.seed), json.dumps(gallery.dim), ",".join(entries)))
 
 
 def read_gallery(path) -> Gallery:
@@ -224,32 +287,26 @@ def read_gallery(path) -> Gallery:
         for ent in doc["entries"]:
             protos = [
                 Prototype(l2_normalize(np.asarray(vec, dtype=np.float64)), int(f))
-                for vec, f in zip(ent["prototypes"], ent["frames"])
+                for vec, f in zip(ent["prototypes"], ent["frames"], strict=True)
             ]
             entries[ent["label"]] = protos
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidEmbedding) as exc:
         raise ParseError(f"bad gallery document: {exc}")
 
 
-def write_tracks(tracks, path, fps=None) -> None:
+def write_tracks(tracks, path) -> None:
     """Write training tracks as a single JSON document (labels sorted)."""
-    tracks = sorted(tracks, key=lambda t: t.label)
-    doc = {
-        "version": TRACKS_VERSION,
-        "tracks": [
-            {
-                "label": t.label,
-                "fps": canonical_float(t.fps),
-                "frames": [int(f) for f, _ in t.samples],
-                "embeddings": [_vec32(e) for _, e in t.samples],
-            }
-            for t in tracks
-        ],
-    }
+    records = [
+        '{"label":%s,"fps":%s,"frames":%s,"embeddings":[%s]}' % (
+            json.dumps(t.label), _float_text(t.fps),
+            _int_array([f for f, _ in t.samples]),
+            ",".join(_float_arrays([e for _, e in t.samples])))
+        for t in sorted(tracks, key=lambda t: t.label)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump(doc) + "\n")
+        fh.write('{"version":%d,"tracks":[%s]}\n' % (TRACKS_VERSION, ",".join(records)))
 
 
 def read_tracks(path):
@@ -265,10 +322,10 @@ def read_tracks(path):
         for t in doc["tracks"]:
             samples = [
                 (int(f), l2_normalize(np.asarray(vec, dtype=np.float64)))
-                for f, vec in zip(t["frames"], t["embeddings"])
+                for f, vec in zip(t["frames"], t["embeddings"], strict=True)
             ]
             out.append(TrainingTrack(t["label"], samples, float(t["fps"])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidEmbedding) as exc:
         raise ParseError(f"bad tracks document: {exc}")
     return out
 
@@ -303,8 +360,11 @@ def read_truth(path):
     try:
         presence = {int(f): tuple(labels)
                     for f, labels in doc["presence"].items()}
+        fps = float(doc["fps"])
+        if not 0 < fps < math.inf:
+            raise ValueError(f"fps must be positive and finite: {fps}")
         return GroundTruthStream(
-            fps=float(doc["fps"]),
+            fps=fps,
             frame_width=int(doc["frame_width"]),
             frame_height=int(doc["frame_height"]),
             embedding_dim=int(doc["embedding_dim"]),
@@ -318,20 +378,21 @@ def read_truth(path):
 
 def write_results(results, path) -> None:
     """Write FrameResults as JSONL, one frame per line."""
+    results = list(results)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in results:
-            fh.write(_dump({
-                "frame": int(r.frame),
-                "entries": [
-                    {
-                        "label": e.label,
-                        "box": _vec32([e.box.x, e.box.y, e.box.w, e.box.h]),
-                        "distance": canonical_float(e.distance),
-                        "source": e.source,
-                    }
+        # boxes are formatted a few frames at a time: one bulk call per frame
+        # costs more than the boxes, one per file raises the peak memory
+        for start in range(0, len(results), 64):
+            chunk = results[start:start + 64]
+            boxes = iter(_box_rows([e.box for r in chunk for e in r.entries]))
+            for r in chunk:
+                entries = ",".join([
+                    '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (
+                        json.dumps(e.label), next(boxes), _float_text(e.distance),
+                        json.dumps(e.source))
                     for e in r.entries
-                ],
-            }) + "\n")
+                ])
+                fh.write('{"frame":%d,"entries":[%s]}\n' % (r.frame, entries))
 
 
 def read_results(path):
@@ -357,6 +418,9 @@ def read_results(path):
                 )
                 for e in rec["entries"]
             )
+            if not all(map(math.isfinite, [v for e in entries for v in (
+                    e.box.x, e.box.y, e.box.w, e.box.h, e.distance)])):
+                raise ValueError("non-finite box or distance")
             frame_index = int(rec["frame"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad result record: {exc}", i + 1)

@@ -85,14 +85,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.participants < 1:
             raise ValueError("participants must be positive")
-        if self.duration_seconds <= 0 or self.fps <= 0:
-            raise ValueError("duration and fps must be positive")
+        if not (0 < self.duration_seconds < math.inf and 0 < self.fps < math.inf):
+            raise ValueError("duration and fps must be positive and finite")
         if self.pose_clusters_per_participant < 1:
             raise ValueError("pose_clusters_per_participant must be positive")
         if self.embedding_dim < 2:
             raise ValueError("embedding_dim must be at least 2")
-        if self.noise_sigma < 0 or self.motion_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+        if not (0 <= self.noise_sigma < math.inf and 0 <= self.motion_sigma < math.inf):
+            raise ValueError("sigmas must be non-negative and finite")
         object.__setattr__(self, "events", tuple(self.events))
 
     @property
@@ -308,6 +308,8 @@ def split_train_test(stream: GroundTruthStream, train_seconds):
     leaves either side empty raises InvalidSplit. Participants absent from
     the prefix are reported via missing_in_training on the returned stream.
     """
+    if not math.isfinite(train_seconds):
+        raise InvalidSplit(f"train_seconds must be finite: {train_seconds}")
     n_train = int(round(train_seconds * stream.fps))
     total = len(stream.frames)
     if not 0 < n_train < total:

@@ -90,10 +90,10 @@ class TrackerConfig:
     recognizer: RecognizerConfig = field(default_factory=RecognizerConfig)
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive: {self.fps}")
-        if self.init_window_seconds <= 0:
-            raise ValueError("init_window_seconds must be positive")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite: {self.fps}")
+        if not 0 < self.init_window_seconds < math.inf:
+            raise ValueError("init_window_seconds must be positive and finite")
         if self.cap < 1:
             raise ValueError(f"cap must be positive: {self.cap}")
         if not 0 < self.min_appearances <= self.cap:

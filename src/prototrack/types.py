@@ -133,7 +133,7 @@ class FrameEntry:
     def __post_init__(self):
         if self.source not in ENTRY_SOURCES:
             raise ValueError(f"unknown entry source: {self.source!r}")
-        if self.distance < 0:
+        if not self.distance >= 0:
             raise ValueError(f"distance must be non-negative: {self.distance}")
 
 

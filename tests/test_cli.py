@@ -98,6 +98,61 @@ def test_malformed_input_file_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def edited_copy(src, dst, lineno):
+    """Copy a JSONL/JSON file; yield one line's decoded value for editing."""
+    lines = src.read_text().splitlines(keepends=True)
+    doc = json.loads(lines[lineno - 1])
+    yield doc
+    lines[lineno - 1] = json.dumps(doc) + "\n"
+    dst.write_text("".join(lines))
+
+
+def test_non_finite_embedding_exits_2(demo, tmp_path, capsys):
+    stream = tmp_path / "nan.jsonl"
+    for rec in edited_copy(demo / "stream.jsonl", stream, 5):
+        rec["detections"][0]["embedding"][7] = float("nan")
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and "non-finite embedding" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_nan_stream_fps_exits_2(demo, tmp_path, capsys):
+    stream = tmp_path / "nan.jsonl"
+    for head in edited_copy(demo / "stream.jsonl", stream, 1):
+        head["fps"] = float("nan")
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "fps must be positive" in err
+
+
+def test_tracks_with_missing_frame_indices_exit_2(demo, tmp_path, capsys):
+    tracks = tmp_path / "cut.json"
+    for doc in edited_copy(demo / "tracks.json", tracks, 1):
+        del doc["tracks"][0]["frames"][:5]
+    code = run_cli("gallery", "--tracks", tracks, "--out", tmp_path / "g.json")
+    assert code == 2
+    assert "bad tracks document" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "fps = nan", "noise_sigma = inf", "duration_seconds = nan", "train_seconds = nan"])
+def test_non_finite_scenario_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SCENARIO.read_text() + line + "\n")
+    code = run_cli("gen", "--scenario", cfg,
+                   "--out-stream", tmp_path / "s.jsonl",
+                   "--out-tracks", tmp_path / "t.json",
+                   "--out-truth", tmp_path / "gt.json")
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_infeasible_scenario_exits_2(tmp_path, capsys):
     cfg = tmp_path / "impossible.cfg"
     cfg.write_text(

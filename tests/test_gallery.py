@@ -71,6 +71,13 @@ def test_track_rejects_empty_and_bad_labels():
         TrainingTrack("", [(0, np.array([1.0, 0.0]))], 30.0)
 
 
+def test_track_rejects_non_positive_or_non_finite_fps():
+    emb = np.array([1.0, 0.0])
+    for fps in (0.0, -30.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainingTrack("alice", [(0, emb)], fps)
+
+
 def test_track_rejects_non_increasing_frames():
     emb = np.array([1.0, 0.0])
     with pytest.raises(ValueError):

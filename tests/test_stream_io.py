@@ -86,6 +86,82 @@ def test_canonical_float_idempotent():
         assert canonical_float(once) == once
 
 
+def ulps_around(x, n):
+    """The 2n + 1 float32 values nearest to float32(x), x included."""
+    bits = np.array([x], dtype=np.float32).view(np.int32)[0]
+    return (bits + np.arange(-n, n + 1, dtype=np.int32)).view(np.float32)
+
+
+def test_vector_writer_matches_canonical_float_json(tmp_path):
+    # the writers format vectors in bulk; every number must still be spelled
+    # exactly as json.dumps spells canonical_float of its float32 value
+    rng = np.random.default_rng(11)
+    f32 = np.finfo(np.float32)
+    edges = np.concatenate([ulps_around(x, 2000)
+                            for x in (1e-5, 1e-4, 1e9, 1e16, 2.0 ** 24)])
+    sign = lambda n: rng.choice([-1.0, 1.0], n)
+    parts = [
+        rng.integers(0, 2 ** 32, 400_000, dtype=np.uint64)
+        .astype(np.uint32).view(np.float32),                 # any bit pattern
+        rng.normal(scale=512 ** -0.5, size=300_000),          # embeddings
+        rng.integers(0, 4097, 100_000),                       # box pixels
+        sign(80_000) * 10.0 ** rng.uniform(9, 16, 80_000),    # 1e9..1e16
+        sign(60_000) * 10.0 ** rng.uniform(-6, -3, 60_000),   # 1e-6..1e-3
+        rng.integers(1, 2 ** 23, 40_000, dtype=np.uint32)
+        .view(np.float32),                                    # subnormals
+        edges, -edges,
+        [0.0, -0.0, f32.max, -f32.max, f32.tiny, np.inf, -np.inf, np.nan],
+    ]
+    values = np.concatenate([np.asarray(p, dtype=np.float32) for p in parts])
+    rows = np.resize(values, (len(values) // 1000 + 1, 1000))
+    path = tmp_path / "t.json"
+    write_tracks([TrainingTrack("p", list(enumerate(rows)), 30.0)], path)
+    expected = json.dumps({"version": 1, "tracks": [{
+        "label": "p", "fps": 30.0, "frames": list(range(len(rows))),
+        "embeddings": [[canonical_float(v) for v in row] for row in rows],
+    }]}, separators=(",", ":")) + "\n"
+    got = path.read_text()
+    if got != expected:
+        got_tokens, want_tokens = got.split(","), expected.split(",")
+        i = next(i for i, (a, b) in enumerate(zip(got_tokens, want_tokens))
+                 if a != b)
+        pytest.fail(f"token {i}: wrote {got_tokens[i]!r}, "
+                    f"canonical is {want_tokens[i]!r}")
+
+
+def canonical_list(values):
+    return [canonical_float(v) for v in np.asarray(values, dtype=np.float32)]
+
+
+def test_record_writers_match_canonical_json(tmp_path):
+    # nested arrays (landmarks), integral and signed-zero coordinates, labels
+    # and scalars, each against json.dumps of the canonical values
+    odd = np.array([-0.0, 96.0, 1e10, 0.1, -3.5e-7, 1e20, 2.5, 7.0])
+    marks = Landmarks(((0.0, -0.0), (1.5, 2.0), (1e9, 3.25), (4.0, 5.0),
+                       (6.0, 1e-5)))
+    box = BoundingBox(-0.0, 1e10, 96.0, 0.1)
+    dets = [Detection(3, box, odd, landmarks=marks, gt_label="zoë"),
+            Detection(3, BOX, unit(2))]
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(3, dets)])
+    records = [{"box": canonical_list([box.x, box.y, box.w, box.h]),
+                "landmarks": [canonical_list(p) for p in marks.points],
+                "embedding": canonical_list(odd), "gt_label": "zoë"},
+               {"box": canonical_list([100, 100, 96, 96]),
+                "embedding": canonical_list(unit(2))}]
+    line = json.dumps({"frame": 3, "detections": records}, separators=(",", ":"))
+    assert path.read_text().splitlines()[1] == line
+
+    path = tmp_path / "r.jsonl"
+    entries = (FrameEntry("zoë", box, 1 / 3, SOURCE_REUSED),)
+    write_results([FrameResult(9, entries)], path)
+    line = json.dumps({"frame": 9, "entries": [{
+        "label": "zoë", "box": canonical_list([box.x, box.y, box.w, box.h]),
+        "distance": canonical_float(1 / 3), "source": SOURCE_REUSED}]},
+        separators=(",", ":"))
+    assert path.read_text() == line + "\n"
+
+
 # ------------------------------------------------------- detection streams
 
 
@@ -188,6 +264,39 @@ def test_stream_zero_embedding_rejected(tmp_path):
     path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
     with pytest.raises(ParseError, match="zero embedding"):
         read_stream(path)
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -30.0])
+def test_stream_header_fps_must_be_positive(tmp_path, fps):
+    path = tmp_path / "s.jsonl"
+    header = {"version": 1, "fps": fps, "frame_width": 1920,
+              "frame_height": 1080, "embedding_dim": DIM}
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ParseError, match="line 1: .*fps must be positive") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 1
+
+
+@pytest.mark.parametrize("field, index", [
+    ("embedding", 3), ("box", 0), ("box", 2), ("landmarks", 4)])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_stream_non_finite_value_rejected_with_line(tmp_path, field, index, bad):
+    path = tmp_path / "s.jsonl"
+    frames = [(f, [Detection(f, BOX, unit(0), landmarks=POINTS)])
+              for f in range(3)]
+    write_stream(path, HEADER, frames)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    det = rec["detections"][0]
+    if field == "landmarks":
+        det["landmarks"][index // 2][index % 2] = bad
+    else:
+        det[field][index] = bad
+    lines[2] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match="line 3: .*non-finite") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 3
 
 
 def test_stream_truncated_final_line_dropped(tmp_path):
@@ -306,6 +415,27 @@ def test_gallery_unsupported_version(tmp_path):
         read_gallery(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_gallery_non_finite_prototype_rejected(tmp_path, bad):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["prototypes"][0][2] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="non-finite"):
+        read_gallery(path)
+
+
+def test_gallery_frames_and_prototypes_must_pair_up(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["frames"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="bad gallery document"):
+        read_gallery(path)
+
+
 def test_gallery_bad_json(tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{not json")
@@ -331,6 +461,39 @@ def test_tracks_round_trip_sorted_by_label(tmp_path):
     assert amy.fps == 30.0
     for (_, a), (_, b) in zip(tracks[0].samples, zoe.samples):
         assert np.linalg.norm(a - b) < 1e-6
+
+
+def tracks_doc(tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "t.json"
+    write_tracks([TrainingTrack("amy", [(i, rand_unit(rng)) for i in range(8)],
+                                30.0)], path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("fps", [float("nan"), 0.0])
+def test_tracks_fps_must_be_positive(tmp_path, fps):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["fps"] = fps
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="fps must be positive"):
+        read_tracks(path)
+
+
+def test_tracks_non_finite_embedding_rejected(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"][5][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="non-finite"):
+        read_tracks(path)
+
+
+def test_tracks_frames_and_embeddings_must_pair_up(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    del doc["tracks"][0]["frames"][:5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="bad tracks document"):
+        read_tracks(path)
 
 
 def test_tracks_unsupported_version(tmp_path):
@@ -359,6 +522,19 @@ def test_truth_round_trip(tmp_path):
     assert back.missing_in_training == ("carol",)
     assert back.frames == []  # detections are not stored in truth files
     assert back.frame_area == 1280 * 720
+
+
+def test_truth_fps_must_be_positive(tmp_path):
+    stream = GroundTruthStream(
+        fps=30.0, frame_width=1280, frame_height=720, embedding_dim=DIM,
+        frames=[], presence={0: ("alice",)})
+    path = tmp_path / "gt.json"
+    write_truth(stream, path)
+    doc = json.loads(path.read_text())
+    doc["fps"] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="fps must be positive"):
+        read_truth(path)
 
 
 def test_truth_unsupported_version(tmp_path):
@@ -410,6 +586,22 @@ def test_results_unknown_source_rejected(tmp_path):
          "source": "guessed"}]}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ParseError, match="source"):
+        read_results(path)
+
+
+@pytest.mark.parametrize("key, index", [("box", 1), ("distance", None)])
+def test_results_non_finite_rejected_with_line(tmp_path, key, index):
+    path = tmp_path / "r.jsonl"
+    write_results(sample_results(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    if index is None:
+        rec["entries"][0][key] = float("inf")
+    else:
+        rec["entries"][0][key][index] = float("nan")
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match="line 2: .*non-finite"):
         read_results(path)
 
 

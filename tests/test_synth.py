@@ -43,6 +43,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(noise_sigma=-0.1)
     with pytest.raises(ValueError):
+        small_spec(fps=float("nan"))
+    with pytest.raises(ValueError):
+        small_spec(motion_sigma=float("nan"))
+    with pytest.raises(ValueError):
         small_spec(embedding_dim=1)
     with pytest.raises(ValueError):
         Event("teleport", "p01", 0)

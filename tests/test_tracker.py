@@ -89,6 +89,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(fps=0.0)
     with pytest.raises(ValueError):
+        TrackerConfig(fps=float("nan"))
+    with pytest.raises(ValueError):
+        cfg(init_window_seconds=float("nan"))
+    with pytest.raises(ValueError):
         cfg(min_appearances=0)
     with pytest.raises(ValueError):
         cfg(min_appearances=11)  # above the cap of 10

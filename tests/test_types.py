@@ -135,6 +135,8 @@ def test_frame_entry_validates_source_and_distance():
         FrameEntry("alice", box, 0.1, "guessed")
     with pytest.raises(ValueError):
         FrameEntry("alice", box, -0.1, SOURCE_CLASSIFIED)
+    with pytest.raises(ValueError):
+        FrameEntry("alice", box, float("nan"), SOURCE_CLASSIFIED)
 
 
 def test_frame_result_labels_and_duplicates():
