@@ -106,10 +106,8 @@ def score(results, truth) -> AccuracyReport:
 
 
 def _index_from_tracks(tracks) -> GalleryIndex:
-    mats = {}
-    for t in tracks:
-        mats[t.label] = np.stack([l2_normalize(e) for _, e in t.samples])
-    return GalleryIndex.from_label_matrices(mats)
+    return GalleryIndex.from_label_matrices(
+        {t.label: [l2_normalize(e) for _, e in t.samples] for t in tracks})
 
 
 def _baseline_pass(frames, index, cfg: RecognizerConfig):
@@ -122,13 +120,14 @@ def _baseline_pass(frames, index, cfg: RecognizerConfig):
     results = []
     t0 = time.perf_counter()
     for frame_index, detections in frames:
-        entries = []
+        entries = ()
         if detections:
-            batch = np.stack([d.embedding for d in detections])
-            for d, c in zip(detections, index.classify_batch(batch, cfg)):
-                entries.append(FrameEntry(c.label, d.box, c.distance,
-                                          SOURCE_CLASSIFIED))
-        results.append(FrameResult(frame_index, tuple(entries)))
+            labels, distances = index.classify_batch(
+                np.stack([d.embedding for d in detections]), cfg)
+            entries = tuple(
+                FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
+                for d, label, distance in zip(detections, labels, distances.tolist()))
+        results.append(FrameResult(frame_index, entries))
     elapsed = time.perf_counter() - t0
     return results, elapsed / max(1, len(frames))
 

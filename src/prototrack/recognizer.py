@@ -36,12 +36,10 @@ class RecognizerConfig:
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of matching one embedding: winning label, its distance, and
-    the best (label, distance) among the other participants when any exist."""
+    """Outcome of matching one embedding: winning label and its distance."""
 
     label: str
     distance: float
-    runner_up: tuple | None = None
 
 
 def area_filter(detection, frame_area, cfg: RecognizerConfig) -> bool:
@@ -68,44 +66,38 @@ class GalleryIndex:
     """
 
     def __init__(self, gallery: Gallery):
-        if not gallery.entries:
-            raise EmptyGallery("gallery has no prototypes")
-        self.labels = list(gallery.labels)  # sorted
-        rows = []
-        starts = []
-        offset = 0
-        for label in self.labels:
-            protos = gallery.entries[label]
-            starts.append(offset)
-            for p in protos:
-                rows.append(np.asarray(p.vector, dtype=np.float64))
-            offset += len(protos)
-        dims = {r.shape[0] for r in rows}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
-        self.matrix = np.ascontiguousarray(np.stack(rows))
-        self.starts = np.asarray(starts, dtype=np.intp)
-        self.dim = self.matrix.shape[1]
+        self._stack({label: [p.vector for p in protos]
+                     for label, protos in gallery.entries.items()})
 
     @classmethod
     def from_label_matrices(cls, label_matrices):
-        """Build directly from {label: (n_i, d) array} without a Gallery."""
+        """Build directly from {label: (n_i, d) array or list of d-vectors}
+        without a Gallery."""
         self = cls.__new__(cls)
-        if not label_matrices:
-            raise EmptyGallery("no prototypes given")
-        self.labels = sorted(label_matrices)
-        mats = [np.asarray(label_matrices[l], dtype=np.float64) for l in self.labels]
-        dims = {m.shape[1] for m in mats}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"label matrices mix dims: {sorted(dims)}")
-        counts = [m.shape[0] for m in mats]
-        self.starts = np.asarray([0] + list(np.cumsum(counts[:-1])), dtype=np.intp)
-        self.matrix = np.ascontiguousarray(np.vstack(mats))
-        self.dim = self.matrix.shape[1]
+        self._stack(label_matrices)
         return self
 
+    def _stack(self, label_rows):
+        """Stack {label: rows} into the matrix, label by sorted label."""
+        if not label_rows:
+            raise EmptyGallery("gallery has no prototypes")
+        self.labels = sorted(label_rows)
+        rows = [np.asarray(r, dtype=np.float64)
+                for label in self.labels for r in label_rows[label]]
+        dims = {r.shape[0] for r in rows}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
+        counts = [len(label_rows[label]) for label in self.labels]
+        self.starts = np.cumsum([0] + counts[:-1], dtype=np.intp)
+        self.matrix = np.ascontiguousarray(np.stack(rows))
+        self.dim = self.matrix.shape[1]
+
     def classify_batch(self, embeddings, cfg: RecognizerConfig):
-        """Classify a (m, d) batch; returns a list of Classification."""
+        """Classify a (m, d) batch (or one d-vector as m = 1).
+
+        Returns (labels, distances): a list of m labels with the Unknown
+        threshold applied, and a float64 array of the m winning distances.
+        """
         q = np.asarray(embeddings, dtype=np.float64)
         if q.ndim == 1:
             q = q.reshape(1, -1)
@@ -117,19 +109,12 @@ class GalleryIndex:
         # best distance within each label's contiguous segment
         per_label = np.minimum.reduceat(dists, self.starts, axis=1)
         best = np.argmin(per_label, axis=1)  # ties -> lowest = lexicographically smallest label
-        out = []
-        for i, b in enumerate(best):
-            b = int(b)
-            d = float(per_label[i, b])
-            runner = None
-            if len(self.labels) > 1:
-                row = per_label[i].copy()
-                row[b] = np.inf
-                r = int(np.argmin(row))
-                runner = (self.labels[r], float(row[r]))
-            label = self.labels[b] if d <= cfg.unknown_threshold else UNKNOWN
-            out.append(Classification(label, d, runner))
-        return out
+        distances = per_label[np.arange(len(best)), best]
+        names = self.labels
+        threshold = cfg.unknown_threshold
+        labels = [names[b] if d <= threshold else UNKNOWN
+                  for b, d in zip(best.tolist(), distances.tolist())]
+        return labels, distances
 
 
 def classify(embedding, gallery, cfg: RecognizerConfig) -> Classification:
@@ -141,4 +126,5 @@ def classify(embedding, gallery, cfg: RecognizerConfig) -> Classification:
     the measured distance. Accepts a Gallery or a prebuilt GalleryIndex.
     """
     index = gallery if isinstance(gallery, GalleryIndex) else GalleryIndex(gallery)
-    return index.classify_batch(embedding, cfg)[0]
+    labels, distances = index.classify_batch(embedding, cfg)
+    return Classification(labels[0], float(distances[0]))

@@ -192,69 +192,93 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
                      landmarks=landmarks, gt_label=gt)
 
 
+def _json_line(raw, lineno):
+    """Decode one JSONL line; None for a truncated final line, i.e. one
+    that fails to parse and has no trailing newline (only the last line of
+    a file can lack one)."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        if not raw.endswith("\n"):
+            return None
+        raise ParseError(f"bad JSON: {exc.msg}", lineno)
+
+
 def read_stream(path):
     """Read a JSONL detection stream.
 
     Returns (StreamHeader, frames) where frames is a list of
     (frame index, [Detection...]). Malformed lines raise ParseError with
-    their line number, out-of-order frames raise OutOfOrderFrame — except
+    their line number; a frame index other than the previous one plus one
+    (out of order, repeated or skipped) raises OutOfOrderFrame — except
     that a truncated final line (no trailing newline, e.g. a writer caught
-    mid-append) is silently dropped.
+    mid-append) is silently dropped. Lines are parsed as they are read.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty stream file", 1)
-
-    def parse_line(i):
-        raw = lines[i]
-        is_last = i == len(lines) - 1
-        truncated_tail = is_last and not raw.endswith("\n")
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty stream file", 1)
+        head = _json_line(first, 1)
+        if head is None:
+            raise ParseError("header line is truncated", 1)
+        if not isinstance(head, dict) or "version" not in head:
+            raise ParseError("first line must be the stream header", 1)
+        if head["version"] != STREAM_VERSION:
+            raise UnsupportedVersion(f"stream version {head['version']}")
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if truncated_tail:
-                return None
-            raise ParseError(f"bad JSON: {exc.msg}", i + 1)
-
-    head = parse_line(0)
-    if head is None:
-        raise ParseError("header line is truncated", 1)
-    if not isinstance(head, dict) or "version" not in head:
-        raise ParseError("first line must be the stream header", 1)
-    if head["version"] != STREAM_VERSION:
-        raise UnsupportedVersion(f"stream version {head['version']}")
-    try:
-        header = StreamHeader(
-            fps=float(head["fps"]),
-            frame_width=int(head["frame_width"]),
-            frame_height=int(head["frame_height"]),
-            embedding_dim=int(head["embedding_dim"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad stream header: {exc}", 1)
-
-    frames = []
-    last = None
-    for i in range(1, len(lines)):
-        rec = parse_line(i)
-        if rec is None:
-            break  # truncated tail
-        try:
-            frame_index = int(rec["frame"])
-            raw_dets = rec["detections"]
+            header = StreamHeader(
+                fps=float(head["fps"]),
+                frame_width=int(head["frame_width"]),
+                frame_height=int(head["frame_height"]),
+                embedding_dim=int(head["embedding_dim"]),
+            )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad frame record: {exc}", i + 1)
-        if last is not None and frame_index <= last:
-            raise OutOfOrderFrame(
-                f"line {i + 1}: frame {frame_index} after {last}")
-        last = frame_index
-        detections = [
-            _parse_detection(r, frame_index, header.embedding_dim, i + 1)
-            for r in raw_dets
-        ]
-        frames.append((frame_index, detections))
+            raise ParseError(f"bad stream header: {exc}", 1)
+
+        frames = []
+        last = None
+        for lineno, raw in enumerate(fh, 2):
+            rec = _json_line(raw, lineno)
+            if rec is None:
+                break  # truncated tail
+            try:
+                frame_index = int(rec["frame"])
+                raw_dets = rec["detections"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad frame record: {exc}", lineno)
+            if last is not None and frame_index != last + 1:
+                raise OutOfOrderFrame(
+                    f"line {lineno}: frame {frame_index} after {last}")
+            last = frame_index
+            detections = [
+                _parse_detection(r, frame_index, header.embedding_dim, lineno)
+                for r in raw_dets
+            ]
+            frames.append((frame_index, detections))
     return header, frames
+
+
+def _unit_samples(kind, record, frames_key, vectors_key):
+    """[(frame, unit vector)] from one gallery entry or track record.
+
+    Errors name the record's label; a length mismatch gives both lengths
+    and a zero or non-finite vector the frame of its sample.
+    """
+    label = record["label"]
+    try:
+        frames, vectors = record[frames_key], record[vectors_key]
+        if len(frames) != len(vectors):
+            raise ValueError(
+                f"{len(frames)} {frames_key} but {len(vectors)} {vectors_key}")
+        samples = []
+        for f, vec in zip(frames, vectors):
+            try:
+                samples.append((int(f), l2_normalize(np.asarray(vec, dtype=np.float64))))
+            except InvalidEmbedding as exc:
+                raise ValueError(f"frame {f}: {exc}") from None
+        return samples
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} {label!r}: {exc}") from None
 
 
 def write_gallery(gallery: Gallery, path) -> None:
@@ -285,14 +309,12 @@ def read_gallery(path) -> Gallery:
     entries = {}
     try:
         for ent in doc["entries"]:
-            protos = [
-                Prototype(l2_normalize(np.asarray(vec, dtype=np.float64)), int(f))
-                for vec, f in zip(ent["prototypes"], ent["frames"], strict=True)
-            ]
-            entries[ent["label"]] = protos
+            entries[ent["label"]] = [
+                Prototype(vec, f)
+                for f, vec in _unit_samples("entry", ent, "frames", "prototypes")]
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))
-    except (KeyError, TypeError, ValueError, InvalidEmbedding) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gallery document: {exc}")
 
 
@@ -320,12 +342,9 @@ def read_tracks(path):
     out = []
     try:
         for t in doc["tracks"]:
-            samples = [
-                (int(f), l2_normalize(np.asarray(vec, dtype=np.float64)))
-                for f, vec in zip(t["frames"], t["embeddings"], strict=True)
-            ]
+            samples = _unit_samples("track", t, "frames", "embeddings")
             out.append(TrainingTrack(t["label"], samples, float(t["fps"])))
-    except (KeyError, TypeError, ValueError, InvalidEmbedding) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad tracks document: {exc}")
     return out
 
@@ -396,40 +415,35 @@ def write_results(results, path) -> None:
 
 
 def read_results(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
     out = []
     last = None
-    for i, raw in enumerate(lines):
-        truncated_tail = i == len(lines) - 1 and not raw.endswith("\n")
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if truncated_tail:
-                break
-            raise ParseError(f"bad JSON: {exc.msg}", i + 1)
-        try:
-            entries = tuple(
-                FrameEntry(
-                    label=e["label"],
-                    box=BoundingBox(*[float(v) for v in e["box"]]),
-                    distance=float(e["distance"]),
-                    source=e["source"],
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            rec = _json_line(raw, lineno)
+            if rec is None:
+                break  # truncated tail
+            try:
+                entries = tuple(
+                    FrameEntry(
+                        label=e["label"],
+                        box=BoundingBox(*[float(v) for v in e["box"]]),
+                        distance=float(e["distance"]),
+                        source=e["source"],
+                    )
+                    for e in rec["entries"]
                 )
-                for e in rec["entries"]
-            )
-            if not all(map(math.isfinite, [v for e in entries for v in (
-                    e.box.x, e.box.y, e.box.w, e.box.h, e.distance)])):
-                raise ValueError("non-finite box or distance")
-            frame_index = int(rec["frame"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad result record: {exc}", i + 1)
-        if any(e.source not in ENTRY_SOURCES for e in entries):
-            raise ParseError("unknown entry source", i + 1)
-        if last is not None and frame_index <= last:
-            raise OutOfOrderFrame(f"line {i + 1}: frame {frame_index} after {last}")
-        last = frame_index
-        out.append(FrameResult(frame_index, entries))
+                if not all(map(math.isfinite, [v for e in entries for v in (
+                        e.box.x, e.box.y, e.box.w, e.box.h, e.distance)])):
+                    raise ValueError("non-finite box or distance")
+                frame_index = int(rec["frame"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad result record: {exc}", lineno)
+            if any(e.source not in ENTRY_SOURCES for e in entries):
+                raise ParseError("unknown entry source", lineno)
+            if last is not None and frame_index <= last:
+                raise OutOfOrderFrame(f"line {lineno}: frame {frame_index} after {last}")
+            last = frame_index
+            out.append(FrameResult(frame_index, entries))
     return out
 
 

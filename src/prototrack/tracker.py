@@ -11,8 +11,9 @@ Per frame the order of business is:
 
 1. every tracked identity ages by one processed frame;
 2. detections overlapping an active identity's last box (IoU at or above
-   the reuse threshold, greedy highest-overlap first) inherit its label
-   without touching the recognizer;
+   the reuse threshold, greedy highest-overlap first, ties to the lower
+   detection index, then the smaller label) inherit its label without
+   touching the recognizer;
 3. the rest are classified: matches to inactive identities update and may
    promote them, unrecognized embeddings stay Unknown, genuinely new labels
    are admitted under the configured policy, and matches to an active label
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyStream, OutOfOrderFrame
 from .gallery import Gallery
-from .recognizer import Classification, GalleryIndex, RecognizerConfig, area_filter
+from .recognizer import GalleryIndex, RecognizerConfig, area_filter
 from .types import (
     SOURCE_CLASSIFIED,
     SOURCE_OCCLUDED,
@@ -44,7 +45,6 @@ from .types import (
     UNKNOWN,
     FrameEntry,
     FrameResult,
-    iou,
 )
 
 NEW_FACE_INACTIVE = "inactive"
@@ -130,15 +130,61 @@ def _as_index(gallery):
 
 
 def _classify_batch(state, index, detections, cfg):
-    """Classify kept detections, counting recognizer work on the state."""
+    """Classify kept detections, counting recognizer work on the state.
+
+    Returns (labels, distances) as two lists, one item per detection.
+    """
     if not detections:
-        return []
+        return [], []
     if index is None:
-        return [Classification(UNKNOWN, _EMPTY_GALLERY_DISTANCE, None)
-                for _ in detections]
+        return [UNKNOWN] * len(detections), [_EMPTY_GALLERY_DISTANCE] * len(detections)
     state.classify_calls += len(detections)
-    batch = np.stack([d.embedding for d in detections])
-    return index.classify_batch(batch, cfg.recognizer)
+    labels, distances = index.classify_batch(
+        np.stack([d.embedding for d in detections]), cfg.recognizer)
+    return labels, distances.tolist()
+
+
+def _observe(face, box, distance, cfg):
+    """Count one matched frame: +1 confidence (capped), remember the box."""
+    face.total_appearances += 1
+    face.continuous_appearances = min(cfg.cap, face.continuous_appearances + 1)
+    face.last_box = box
+    face.last_distance = distance
+
+
+def _miss(face):
+    """Count one missed frame: -1 confidence, floored at zero."""
+    face.continuous_appearances = max(0, face.continuous_appearances - 1)
+
+
+def _edges(boxes):
+    """(x, y, x + w, y + h, w * h) per box, in types.iou's arithmetic."""
+    return [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in boxes]
+
+
+def _overlap_candidates(kept, active, reuse_iou):
+    """Every (-IoU, detection index, label) pair with IoU >= reuse_iou.
+
+    Equals the list that types.iou(detection box, last box) builds pair by
+    pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
+    box's edges and area computed once per frame.
+    """
+    tracks = [(label, *e) for label, e in zip(
+        active, _edges([face.last_box for face in active.values()]))]
+    candidates = []
+    for di, (ax, ay, ax2, ay2, aa) in enumerate(_edges([d.box for d in kept])):
+        for label, bx, by, bx2, by2, ba in tracks:
+            # max(a, b) and min(a, b), operand order kept
+            iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+            ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+            if iw <= 0 or ih <= 0:
+                overlap = 0.0
+            else:
+                inter = iw * ih
+                overlap = inter / (aa + ba - inter)
+            if overlap >= reuse_iou:
+                candidates.append((-overlap, di, label))
+    return candidates
 
 
 def _resolve_frame(detected, placeholders):
@@ -181,7 +227,7 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
         raise EmptyStream("no frames in the initial window")
     index = _as_index(gallery)
     state = TrackerState()
-    stats = {}  # label -> dict(first, appearances, cont, last_box, last_distance)
+    faces = {}  # label -> TrackedFace, in first-seen order
     last_cursor = None
     for i, (frame_index, detections) in enumerate(frames):
         if last_cursor is not None and frame_index != last_cursor + 1:
@@ -189,42 +235,28 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
                 f"expected frame {last_cursor + 1}, got {frame_index}")
         last_cursor = frame_index
         kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
-        classifications = _classify_batch(state, index, kept, cfg)
-        detected = [
-            FrameEntry(c.label, d.box, c.distance, SOURCE_CLASSIFIED)
-            for d, c in zip(kept, classifications)
-        ]
-        entries = _resolve_frame(detected, [])
+        labels, distances = _classify_batch(state, index, kept, cfg)
+        entries = _resolve_frame([
+            FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
+            for d, label, distance in zip(kept, labels, distances)
+        ], [])
         present = set()
         for e in entries:
             if e.label == UNKNOWN:
                 continue
             present.add(e.label)
-            st = stats.setdefault(
-                e.label,
-                {"first": i, "appearances": 0, "cont": 0,
-                 "last_box": e.box, "last_distance": e.distance},
-            )
-            st["appearances"] += 1
-            st["cont"] = min(cfg.cap, st["cont"] + 1)
-            st["last_box"] = e.box
-            st["last_distance"] = e.distance
-        for label, st in stats.items():
+            face = faces.get(e.label)
+            if face is None:
+                # processed frames run from first sight to the window's end
+                face = faces[e.label] = TrackedFace(
+                    e.label, e.box, 0, len(frames) - i, 0, e.distance)
+            _observe(face, e.box, e.distance, cfg)
+        for label, face in faces.items():
             if label not in present:
-                st["cont"] = max(0, st["cont"] - 1)
+                _miss(face)
         state.results.append(FrameResult(frame_index, entries))
-    window_len = len(frames)
-    for label, st in stats.items():
-        processed = window_len - st["first"]
-        face = TrackedFace(
-            label=label,
-            last_box=st["last_box"],
-            total_appearances=st["appearances"],
-            total_frames_processed=processed,
-            continuous_appearances=st["cont"],
-            last_distance=st["last_distance"],
-        )
-        if st["appearances"] / processed >= cfg.promote_ratio:
+    for label, face in faces.items():
+        if face.appearance_ratio >= cfg.promote_ratio:
             face.continuous_appearances = cfg.cap
             state.active[label] = face
         else:
@@ -243,50 +275,31 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
     kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
 
     # 1. every identity tracked at frame start ages one processed frame
-    for face in list(state.active.values()) + list(state.inactive.values()):
+    for face in [*state.active.values(), *state.inactive.values()]:
         face.total_frames_processed += 1
 
     # 2. box-overlap reuse against active identities, greedy highest first
-    candidates = []
-    for di, d in enumerate(kept):
-        for label, face in state.active.items():
-            overlap = iou(d.box, face.last_box)
-            if overlap >= cfg.reuse_iou:
-                candidates.append((-overlap, di, label))
-    reused = {}  # detection idx -> label
-    matched_labels = set()
-    for neg_overlap, di, label in sorted(candidates):
-        if di in reused or label in matched_labels:
-            continue
-        reused[di] = label
-        matched_labels.add(label)
-
     entry_slots = [None] * len(kept)
-    for di, label in reused.items():
-        face = state.active[label]
-        face.total_appearances += 1
-        face.continuous_appearances = min(cfg.cap, face.continuous_appearances + 1)
-        face.last_box = kept[di].box
-        entry_slots[di] = FrameEntry(
-            label, kept[di].box, face.last_distance, SOURCE_REUSED)
+    matched_labels = set()
+    for _, di, label in sorted(_overlap_candidates(kept, state.active, cfg.reuse_iou)):
+        if entry_slots[di] is None and label not in matched_labels:
+            matched_labels.add(label)
+            face = state.active[label]
+            _observe(face, kept[di].box, face.last_distance, cfg)
+            entry_slots[di] = FrameEntry(
+                label, face.last_box, face.last_distance, SOURCE_REUSED)
 
-    # 3. classify everything the reuse pass did not claim
-    rest = [di for di in range(len(kept)) if di not in reused]
-    classified = _classify_batch(state, index, [kept[di] for di in rest], cfg)
-    for di, c in zip(rest, classified):
-        entry_slots[di] = FrameEntry(c.label, kept[di].box, c.distance,
-                                     SOURCE_CLASSIFIED)
-
-    # group classification claims per label; the closest detection speaks
-    # for the label when it comes to state updates
-    claims = {}
-    for di, c in zip(rest, classified):
-        if c.label != UNKNOWN:
-            claims.setdefault(c.label, []).append((c.distance, di))
+    # 3. classify everything the reuse pass did not claim; the closest
+    # detection speaks for its label when it comes to state updates
+    rest = [di for di, slot in enumerate(entry_slots) if slot is None]
+    labels, distances = _classify_batch(state, index, [kept[di] for di in rest], cfg)
+    claims = {}  # label -> (distance, detection idx) of its closest claim
+    for di, label, distance in zip(rest, labels, distances):
+        entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
+        if label != UNKNOWN and (distance, di) < claims.get(label, (math.inf, di)):
+            claims[label] = (distance, di)
     promoted = set()
-    for label, group in claims.items():
-        group.sort()
-        distance, di = group[0]
+    for label, (distance, di) in claims.items():
         box = kept[di].box
         if label in state.active:
             # matched by identity but not by position: emit only, and let
@@ -294,24 +307,14 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
             continue
         if label in state.inactive:
             face = state.inactive[label]
-            face.total_appearances += 1
-            face.continuous_appearances = min(cfg.cap, face.continuous_appearances + 1)
-            face.last_box = box
-            face.last_distance = distance
+            _observe(face, box, distance, cfg)
             if face.appearance_ratio >= cfg.promote_ratio:
                 del state.inactive[label]
                 face.continuous_appearances = cfg.cap
                 state.active[label] = face
                 promoted.add(label)
         else:
-            face = TrackedFace(
-                label=label,
-                last_box=box,
-                total_appearances=1,
-                total_frames_processed=1,
-                continuous_appearances=1,
-                last_distance=distance,
-            )
+            face = TrackedFace(label, box, 1, 1, 1, distance)
             if cfg.new_face_policy == NEW_FACE_ACTIVE:
                 face.continuous_appearances = cfg.cap
                 state.active[label] = face
@@ -327,7 +330,7 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
         if label in matched_labels or label in promoted:
             continue
         face = state.active[label]
-        face.continuous_appearances = max(0, face.continuous_appearances - 1)
+        _miss(face)
         if face.continuous_appearances >= cfg.min_appearances:
             placeholders.append(FrameEntry(
                 label, face.last_box, face.last_distance, SOURCE_OCCLUDED))
@@ -339,7 +342,7 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
     # 4b. unmatched inactive identities decay their confidence counter too
     for label, face in state.inactive.items():
         if label not in claims and label not in demoted:
-            face.continuous_appearances = max(0, face.continuous_appearances - 1)
+            _miss(face)
 
     entries = _resolve_frame(entry_slots, placeholders)
     state.results.append(FrameResult(frame_index, entries))

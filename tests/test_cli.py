@@ -130,6 +130,18 @@ def test_nan_stream_fps_exits_2(demo, tmp_path, capsys):
     assert "line 1" in err and "fps must be positive" in err
 
 
+def test_stream_frame_gap_exits_2(demo, tmp_path, capsys):
+    stream = tmp_path / "gap.jsonl"
+    lines = (demo / "stream.jsonl").read_text().splitlines(keepends=True)
+    stream.write_text("".join(lines[:3] + lines[4:]))  # drops the third frame
+    first = json.loads(lines[1])["frame"]
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    assert f"line 4: frame {first + 3} after {first + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_tracks_with_missing_frame_indices_exit_2(demo, tmp_path, capsys):
     tracks = tmp_path / "cut.json"
     for doc in edited_copy(demo / "tracks.json", tracks, 1):

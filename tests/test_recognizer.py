@@ -113,7 +113,6 @@ def test_classify_exact_prototype_hit():
     got = classify(e0, g, RecognizerConfig())
     assert got.label == "alice"
     assert got.distance == 0.0
-    assert got.runner_up == ("bob", 1.0)
 
 
 def test_classify_far_query_is_unknown_with_distance():
@@ -121,7 +120,6 @@ def test_classify_far_query_is_unknown_with_distance():
     got = classify(np.array([-1.0, 0.0]), g, RecognizerConfig())
     assert got.label == UNKNOWN
     assert got.distance == 2.0
-    assert got.runner_up is None
 
 
 def test_classify_tie_takes_lexicographically_smallest():
@@ -161,12 +159,51 @@ def test_classify_batch_matches_single_calls():
     cfg = RecognizerConfig()
     queries = np.stack([l2_normalize(rng.normal(size=index.dim))
                         for _ in range(20)])
-    batch = index.classify_batch(queries, cfg)
-    for q, got in zip(queries, batch):
+    labels, distances = index.classify_batch(queries, cfg)
+    for q, label, distance in zip(queries, labels, distances):
         single = classify(q, index, cfg)
         # batched and one-at-a-time GEMMs may differ in the last ulp
-        assert got.label == single.label
-        assert abs(got.distance - single.distance) < 1e-12
+        assert label == single.label
+        assert abs(distance - single.distance) < 1e-12
+
+
+def test_classify_batch_returns_label_list_and_distance_array():
+    e0 = np.array([1.0, 0.0, 0.0])
+    e1 = np.array([0.0, 1.0, 0.0])
+    index = GalleryIndex(gallery_from({"alice": [e0], "bob": [e1]}))
+    queries = np.stack([e0, e1, -e0])
+    labels, distances = index.classify_batch(queries, RecognizerConfig())
+    assert labels == ["alice", "bob", UNKNOWN]
+    assert isinstance(distances, np.ndarray)
+    assert distances.dtype == np.float64
+    assert distances.shape == (3,)
+    assert distances.tolist() == [0.0, 0.0, 1.0]
+    # a single vector is a batch of one
+    labels, distances = index.classify_batch(e1, RecognizerConfig())
+    assert labels == ["bob"]
+    assert distances.shape == (1,)
+
+
+def test_index_constructors_share_one_stacking_path():
+    rng = np.random.default_rng(127)
+    entries, _ = random_instance(rng)
+    via_gallery = GalleryIndex(gallery_from(entries))
+    via_matrices = GalleryIndex.from_label_matrices(
+        {label: np.stack(vectors) for label, vectors in entries.items()})
+    assert via_gallery.labels == via_matrices.labels == sorted(entries)
+    assert np.array_equal(via_gallery.matrix, via_matrices.matrix)
+    assert via_gallery.starts.tolist() == via_matrices.starts.tolist()
+    assert via_gallery.dim == via_matrices.dim
+
+
+def test_index_rejects_mixed_dims_and_empty_input():
+    with pytest.raises(DimensionMismatch):
+        GalleryIndex(gallery_from({"alice": [np.array([1.0, 0.0])],
+                                   "bob": [np.array([1.0, 0.0, 0.0])]}))
+    with pytest.raises(DimensionMismatch):
+        GalleryIndex.from_label_matrices({"alice": np.eye(2), "bob": np.eye(3)})
+    with pytest.raises(EmptyGallery):
+        GalleryIndex.from_label_matrices({})
 
 
 def test_classify_invariant_under_prototype_permutation():
@@ -209,6 +246,6 @@ def test_raising_threshold_never_flips_named_to_unknown():
 
 
 def test_classification_is_plain_value():
-    c = Classification("alice", 0.25, ("bob", 0.5))
+    c = Classification("alice", 0.25)
     assert c.label == "alice"
-    assert c.runner_up == ("bob", 0.5)
+    assert c.distance == 0.25

@@ -170,7 +170,7 @@ def sample_frames(rng):
         (0, [Detection(0, BOX, unit(0), landmarks=POINTS, gt_label="alice"),
              Detection(0, BoundingBox(400.0, 100.0, 80.0, 90.0), unit(1))]),
         (1, []),  # a frame with no detections is a real record
-        (5, [Detection(5, BOX, rand_unit(rng), gt_label="bob")]),
+        (2, [Detection(2, BOX, rand_unit(rng), gt_label="bob")]),
     ]
 
 
@@ -181,7 +181,7 @@ def test_stream_round_trip(tmp_path):
     write_stream(path, HEADER, frames)
     header, got = read_stream(path)
     assert header == HEADER
-    assert [f for f, _ in got] == [0, 1, 5]
+    assert [f for f, _ in got] == [0, 1, 2]
     d0, d1 = got[0][1]
     assert (d0.box, d0.gt_label) == (BOX, "alice")
     assert d0.landmarks == POINTS
@@ -338,6 +338,13 @@ def test_stream_out_of_order_frames_rejected(tmp_path):
             read_stream(path)
 
 
+def test_stream_frame_gap_rejected_with_line(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(0, []), (2, [])])
+    with pytest.raises(OutOfOrderFrame, match="^line 3: frame 2 after 0$"):
+        read_stream(path)
+
+
 def test_stream_norm_drift_warns_and_renormalizes(tmp_path):
     path = tmp_path / "s.jsonl"
     header = {"version": 1, "fps": 30.0, "frame_width": 1920,
@@ -436,6 +443,22 @@ def test_gallery_frames_and_prototypes_must_pair_up(tmp_path):
         read_gallery(path)
 
 
+def test_gallery_errors_name_the_entry(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["frames"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="entry 'bob': 1 frames but 2 prototypes"):
+        read_gallery(path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["frames"].append(60)
+    doc["entries"][1]["prototypes"][1] = [0.0] * DIM
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="entry 'bob': frame 60: .*zero or non-finite"):
+        read_gallery(path)
+
+
 def test_gallery_bad_json(tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{not json")
@@ -493,6 +516,19 @@ def test_tracks_frames_and_embeddings_must_pair_up(tmp_path):
     del doc["tracks"][0]["frames"][:5]
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="bad tracks document"):
+        read_tracks(path)
+
+
+def test_tracks_errors_name_the_track(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    del doc["tracks"][0]["frames"][:5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="track 'amy': 3 frames but 8 embeddings"):
+        read_tracks(path)
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"][5][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="track 'amy': frame 5: .*non-finite"):
         read_tracks(path)
 
 

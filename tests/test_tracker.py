@@ -12,8 +12,10 @@ from prototrack.gallery import Gallery, Prototype
 from prototrack.recognizer import RecognizerConfig
 from prototrack.tracker import (
     NEW_FACE_ACTIVE,
+    TrackedFace,
     TrackerConfig,
     TrackerState,
+    _overlap_candidates,
     run,
     run_initial_window,
     step,
@@ -25,6 +27,7 @@ from prototrack.types import (
     UNKNOWN,
     BoundingBox,
     Detection,
+    iou,
 )
 
 DIM = 8
@@ -449,6 +452,100 @@ def test_reuse_equivalence_and_saved_work():
         assert [(e.label, e.box) for e in a.entries] == \
             [(e.label, e.box) for e in b.entries]
     assert with_reuse.classify_calls < no_reuse.classify_calls
+
+
+# ---------------------------------------------------------------------------
+# overlap association against the per-pair types.iou reference
+
+
+def random_boxes(rng, n, pool=()):
+    """Boxes on a coarse grid (touching edges are common), with identical
+    and nested copies of earlier boxes mixed in, plus a few off-grid ones."""
+    boxes = []
+    for _ in range(n):
+        earlier = list(pool) + boxes
+        kind = rng.integers(0, 5)
+        if kind == 0 and earlier:
+            boxes.append(earlier[rng.integers(0, len(earlier))])  # identical
+        elif kind == 1 and earlier:
+            b = earlier[rng.integers(0, len(earlier))]  # nested inside b
+            fx, fy = rng.uniform(0.0, 0.5, 2)
+            boxes.append(BoundingBox(b.x + fx * b.w, b.y + fy * b.h,
+                                     b.w * (1 - fx) * rng.uniform(0.2, 1.0),
+                                     b.h * (1 - fy) * rng.uniform(0.2, 1.0)))
+        elif kind == 2:
+            boxes.append(BoundingBox(*rng.uniform(0, 60, 2), *rng.uniform(1, 40, 2)))
+        else:
+            boxes.append(BoundingBox(*(10 * rng.integers(0, 6, 2)),
+                                     *(10 * rng.integers(1, 4, 2))))
+    return boxes
+
+
+def reference_association(det_boxes, active, reuse_iou):
+    """Candidates and greedy matches built with one types.iou call a pair."""
+    candidates = []
+    for di, box in enumerate(det_boxes):
+        for label, face in active.items():
+            overlap = iou(box, face.last_box)
+            if overlap >= reuse_iou:
+                candidates.append((-overlap, di, label))
+    reused = {}
+    for _, di, label in sorted(candidates):
+        if di not in reused and label not in reused.values():
+            reused[di] = label
+    return candidates, reused
+
+
+def active_faces(boxes):
+    return {f"p{i}": TrackedFace(f"p{i}", box, 10, 10, 10, 0.25)
+            for i, box in enumerate(boxes)}
+
+
+@pytest.mark.parametrize("reuse_iou", [0.0, 0.5, 1.0])
+def test_overlap_association_matches_per_pair_iou(reuse_iou):
+    rng = np.random.default_rng(401)
+    config = cfg(reuse_iou=reuse_iou)
+    for _ in range(300):
+        face_boxes = random_boxes(rng, int(rng.integers(0, 6)))
+        det_boxes = random_boxes(rng, int(rng.integers(0, 7)), face_boxes)
+        active = active_faces(face_boxes)
+        want, want_reused = reference_association(det_boxes, active, reuse_iou)
+        dets = [det(1, box, one_hot(7)) for box in det_boxes]
+        # exact equality: same pairs, same order, same float bits
+        assert _overlap_candidates(dets, active, reuse_iou) == want
+
+        state = TrackerState(active=active, frame_cursor=0)
+        step(state, 1, dets, gallery(), config)
+        got_reused = {di: e.label
+                      for di, e in enumerate(state.results[-1].entries[:len(dets)])
+                      if e.source == SOURCE_REUSED}
+        assert got_reused == want_reused
+
+
+def test_reuse_ties_go_to_lower_detection_then_smaller_label():
+    face_box = BoundingBox(100, 100, 100, 100)
+    left, right = BoundingBox(50, 100, 100, 100), BoundingBox(150, 100, 100, 100)
+    assert iou(left, face_box) == iou(right, face_box)
+    config = cfg(reuse_iou=0.3)
+    # two detections overlap one identity equally: the lower index wins
+    for first, second in ((left, right), (right, left)):
+        state = TrackerState(active=active_faces([face_box]), frame_cursor=0)
+        step(state, 1, [det(1, first, one_hot(7)), det(1, second, one_hot(7))],
+             gallery(), config)
+        entries = state.results[-1].entries
+        assert (entries[0].label, entries[0].source, entries[0].box) == \
+            ("p0", SOURCE_REUSED, first)
+        assert entries[1].source == SOURCE_CLASSIFIED
+    # one detection overlaps two identities equally: the smaller label wins,
+    # whatever the pool's insertion order
+    state = TrackerState(active={
+        "bob": TrackedFace("bob", left, 10, 10, 10, 0.25),
+        "alice": TrackedFace("alice", right, 10, 10, 10, 0.25),
+    }, frame_cursor=0)
+    step(state, 1, [det(1, face_box, one_hot(7))], gallery(), config)
+    entries = state.results[-1].entries
+    assert (entries[0].label, entries[0].source) == ("alice", SOURCE_REUSED)
+    assert (entries[1].label, entries[1].source) == ("bob", SOURCE_OCCLUDED)
 
 
 def test_state_defaults():
