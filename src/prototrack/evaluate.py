@@ -123,7 +123,7 @@ def _baseline_pass(frames, index, cfg: RecognizerConfig):
         entries = ()
         if detections:
             labels, distances = index.classify_batch(
-                np.stack([d.embedding for d in detections]), cfg)
+                np.array([d.embedding for d in detections]), cfg)
             entries = tuple(
                 FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
                 for d, label, distance in zip(detections, labels, distances.tolist()))

@@ -45,7 +45,7 @@ class TrainingTrack:
             raise ValueError(f"track {self.label!r} frames must strictly increase")
 
     def matrix(self) -> np.ndarray:
-        return np.stack([np.asarray(e, dtype=np.float64) for _, e in self.samples])
+        return np.array([e for _, e in self.samples], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +105,25 @@ def kmeans(points, k, seed, max_iters=100):
         (centroids, assignment): a (k, d) float64 array and a length-n int
         array mapping each point to its cluster. Every cluster is non-empty;
         an empty cluster is repaired by stealing the point currently
-        farthest from its own centroid.
+        farthest from its own centroid. No SSE is computed here; only
+        kmeans_trace pays for it.
     """
-    centroids, assignment, _ = kmeans_trace(points, k, seed, max_iters)
-    return centroids, assignment
+    return _lloyd(points, k, seed, max_iters)
 
 
 def kmeans_trace(points, k, seed, max_iters=100):
-    """kmeans plus the per-iteration SSE trail (for convergence checks)."""
+    """kmeans plus the per-iteration SSE trail (for convergence checks).
+
+    The centroids and assignment are bit-identical to kmeans(); only this
+    function computes the SSE, one pass over the points per iteration.
+    """
+    history = []
+    centroids, assignment = _lloyd(points, k, seed, max_iters, history)
+    return centroids, assignment, history
+
+
+def _lloyd(points, k, seed, max_iters, history=None):
+    """The Lloyd loop; appends each iteration's SSE to history if given."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -129,7 +140,6 @@ def kmeans_trace(points, k, seed, max_iters=100):
     centroids = _plus_plus_seed(pts, k, rng)
 
     assignment = None
-    history = []
     for _ in range(max_iters):
         d2 = _sq_distances(pts, centroids)
         new_assignment = np.argmin(d2, axis=1)
@@ -138,8 +148,9 @@ def kmeans_trace(points, k, seed, max_iters=100):
             break
         assignment = new_assignment
         centroids = _cluster_means(pts, assignment, k)
-        history.append(float(np.sum((pts - centroids[assignment]) ** 2)))
-    return centroids, assignment, history
+        if history is not None:
+            history.append(float(np.sum((pts - centroids[assignment]) ** 2)))
+    return centroids, assignment
 
 
 def _plus_plus_seed(pts, k, rng):
@@ -181,8 +192,11 @@ def _repair_empty_clusters(d2, assignment, k):
 
 
 def _cluster_means(pts, assignment, k):
-    sums = np.zeros((k, pts.shape[1]), dtype=np.float64)
-    np.add.at(sums, assignment, pts)
+    # bincount adds each bin's weights in point order, as np.add.at does, so
+    # the sums match it bit for bit; reduceat or a one-hot matmul would not
+    d = pts.shape[1]
+    sums = np.bincount((assignment[:, None] * d + np.arange(d)).ravel(),
+                       weights=pts.ravel(), minlength=k * d).reshape(k, d)
     counts = np.bincount(assignment, minlength=k).astype(np.float64)
     return sums / counts[:, None]
 

@@ -89,7 +89,7 @@ class GalleryIndex:
             raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
         counts = [len(label_rows[label]) for label in self.labels]
         self.starts = np.cumsum([0] + counts[:-1], dtype=np.intp)
-        self.matrix = np.ascontiguousarray(np.stack(rows))
+        self.matrix = np.array(rows)
         self.dim = self.matrix.shape[1]
 
     def classify_batch(self, embeddings, cfg: RecognizerConfig):

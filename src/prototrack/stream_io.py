@@ -415,6 +415,8 @@ def write_results(results, path) -> None:
 
 
 def read_results(path):
+    """Read a JSONL results file as FrameResults, with read_stream's rules
+    for bad lines, frame gaps and a truncated final line."""
     out = []
     last = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -440,7 +442,7 @@ def read_results(path):
                 raise ParseError(f"bad result record: {exc}", lineno)
             if any(e.source not in ENTRY_SOURCES for e in entries):
                 raise ParseError("unknown entry source", lineno)
-            if last is not None and frame_index <= last:
+            if last is not None and frame_index != last + 1:
                 raise OutOfOrderFrame(f"line {lineno}: frame {frame_index} after {last}")
             last = frame_index
             out.append(FrameResult(frame_index, entries))

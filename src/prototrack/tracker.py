@@ -140,7 +140,7 @@ def _classify_batch(state, index, detections, cfg):
         return [UNKNOWN] * len(detections), [_EMPTY_GALLERY_DISTANCE] * len(detections)
     state.classify_calls += len(detections)
     labels, distances = index.classify_batch(
-        np.stack([d.embedding for d in detections]), cfg.recognizer)
+        np.array([d.embedding for d in detections]), cfg.recognizer)
     return labels, distances.tolist()
 
 

@@ -142,6 +142,18 @@ def test_stream_frame_gap_exits_2(demo, tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_results_frame_gap_exits_2(demo, tmp_path, capsys):
+    results = tmp_path / "gap.jsonl"
+    lines = (demo / "results.jsonl").read_text().splitlines(keepends=True)
+    results.write_text("".join(lines[:1] + lines[2:]))  # drops the second frame
+    first = json.loads(lines[0])["frame"]
+    code = run_cli("score", "--results", results, "--truth", demo / "truth.json",
+                   "--out", tmp_path / "score.csv")
+    assert code == 2
+    assert f"line 2: frame {first + 2} after {first}" in capsys.readouterr().err
+    assert not (tmp_path / "score.csv").exists()
+
+
 def test_tracks_with_missing_frame_indices_exit_2(demo, tmp_path, capsys):
     tracks = tmp_path / "cut.json"
     for doc in edited_copy(demo / "tracks.json", tracks, 1):

@@ -5,6 +5,7 @@ enumeration of all partitions (for tiny instances) and an exhaustive
 nearest-point scan (for medoid snapping).
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,12 +16,15 @@ from prototrack.gallery import (
     Gallery,
     Prototype,
     TrainingTrack,
+    _cluster_means,
     build_gallery_kmeans,
     build_gallery_sampling,
     kmeans,
     kmeans_trace,
     snap_to_medoids,
 )
+from prototrack.stream_io import write_gallery
+from prototrack.synth import ScenarioSpec, generate, split_train_test
 from prototrack.types import UNKNOWN, l2_normalize
 
 
@@ -176,6 +180,39 @@ def test_kmeans_deterministic_for_fixed_seed():
     assert np.array_equal(a[1], b[1])
 
 
+def add_at_means(pts, assignment, k):
+    """Reference cluster means: np.add.at sums the rows in point order."""
+    sums = np.zeros((k, pts.shape[1]), dtype=np.float64)
+    np.add.at(sums, assignment, pts)
+    return sums / np.bincount(assignment, minlength=k).astype(np.float64)[:, None]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_cluster_means_bit_identical_to_add_at():
+    rng = np.random.default_rng(59)
+    for trial in range(300):
+        d = (1, 8, 128, 512)[trial % 4]
+        n = int(rng.integers(1, 120))
+        k = (1, n, int(rng.integers(1, n + 1)))[trial // 4 % 3]
+        # magnitudes over six decades, so the summation order shows in the bits
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        if trial % 5 == 0:
+            pts = pts[rng.integers(n, size=n)]  # duplicate points
+        # every cluster gets a member; k == n leaves each with exactly one
+        assignment = rng.permutation(
+            np.concatenate([np.arange(k), rng.integers(k, size=n - k)]))
+        got = _cluster_means(pts, assignment, k)
+        assert same_bits(got, add_at_means(pts, assignment, k)), (trial, n, d, k)
+        if trial % 10 == 0:
+            centroids, labels = kmeans(pts, k, seed=trial)
+            traced, traced_labels, _ = kmeans_trace(pts, k, seed=trial)
+            assert same_bits(centroids, traced)
+            assert np.array_equal(labels, traced_labels)
+
+
 # ---------------------------------------------------------------------------
 # snap_to_medoids
 
@@ -298,6 +335,20 @@ def test_build_kmeans_total_budget_split():
     # a budget below the participant count still yields one prototype each
     g_min = build_gallery_kmeans(tracks, k=1, seed=0, k_is_total=True)
     assert all(len(g_min.entries[l]) == 1 for l in g_min.labels)
+
+
+@pytest.mark.parametrize("dim, k, seed, digest", [
+    (32, 32, 11, "013210be71aad3f479799eb7d5f2344ace5aa18ad746931409f68b3fdb1c8f82"),
+    (512, 8, 12, "0e2dd24cdf41c664fe2bfff50954fdd8bae7c83332539bea4f2217825b5e21c9"),
+])
+def test_build_kmeans_written_gallery_bytes_pinned(tmp_path, dim, k, seed, digest):
+    # digests written when the cluster means were summed with np.add.at
+    spec = ScenarioSpec(participants=3, duration_seconds=20.0, seed=seed,
+                        embedding_dim=dim, noise_sigma=0.1, fps=10.0)
+    tracks, _ = split_train_test(generate(spec), 16.0)
+    path = tmp_path / "gallery.json"
+    write_gallery(build_gallery_kmeans(tracks, k=k, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -591,7 +591,7 @@ def sample_results():
                        SOURCE_CLASSIFIED),
         )),
         FrameResult(1, (FrameEntry("alice", BOX, 0.125, SOURCE_REUSED),)),
-        FrameResult(4, (FrameEntry("alice", BOX, 0.125, SOURCE_OCCLUDED),)),
+        FrameResult(2, (FrameEntry("alice", BOX, 0.125, SOURCE_OCCLUDED),)),
     ]
 
 
@@ -599,7 +599,7 @@ def test_results_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
     write_results(sample_results(), path)
     back = read_results(path)
-    assert [r.frame for r in back] == [0, 1, 4]
+    assert [r.frame for r in back] == [0, 1, 2]
     assert [len(r.entries) for r in back] == [2, 1, 1]
     e = back[0].entries[0]
     assert (e.label, e.box, e.distance, e.source) == (
@@ -649,13 +649,21 @@ def test_results_out_of_order_rejected(tmp_path):
         read_results(path)
 
 
+def test_results_frame_gap_rejected_with_line(tmp_path):
+    path = tmp_path / "r.jsonl"
+    lines = [json.dumps({"frame": f, "entries": []}) for f in (0, 2)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(OutOfOrderFrame, match="^line 2: frame 2 after 0$"):
+        read_results(path)
+
+
 def test_results_truncated_tail_dropped(tmp_path):
     path = tmp_path / "r.jsonl"
     write_results(sample_results(), path)
     with open(path, "a") as fh:
-        fh.write('{"frame":9,"entr')
+        fh.write('{"frame":3,"entr')
     back = read_results(path)
-    assert [r.frame for r in back] == [0, 1, 4]
+    assert [r.frame for r in back] == [0, 1, 2]
 
 
 # ------------------------------------------------------- CSV reports
