@@ -10,7 +10,14 @@ class PipelineError(Exception):
 
 
 class InvalidEmbedding(PipelineError):
-    """An embedding vector that cannot be normalized (zero or non-finite)."""
+    """An embedding vector that cannot be normalized (zero or non-finite).
+
+    Raised for a matrix of vectors, `row` is the index of the first bad one.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DimensionMismatch(PipelineError):

@@ -40,7 +40,7 @@ from .types import (
     FrameEntry,
     FrameResult,
     Landmarks,
-    l2_normalize,
+    l2_normalize_rows,
 )
 
 STREAM_VERSION = 1
@@ -108,6 +108,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _size(key, value) -> int:
+    """A frame side or embedding width: an integer (not a bool or a float
+    with no fraction) of at least 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StreamHeader:
     fps: float
@@ -119,6 +127,8 @@ class StreamHeader:
     def __post_init__(self):
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be positive and finite: {self.fps}")
+        for key in ("frame_width", "frame_height", "embedding_dim"):
+            _size(key, getattr(self, key))
 
     @property
     def frame_area(self) -> float:
@@ -228,9 +238,9 @@ def read_stream(path):
         try:
             header = StreamHeader(
                 fps=float(head["fps"]),
-                frame_width=int(head["frame_width"]),
-                frame_height=int(head["frame_height"]),
-                embedding_dim=int(head["embedding_dim"]),
+                frame_width=head["frame_width"],
+                frame_height=head["frame_height"],
+                embedding_dim=head["embedding_dim"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad stream header: {exc}", 1)
@@ -258,11 +268,14 @@ def read_stream(path):
     return header, frames
 
 
-def _unit_samples(kind, record, frames_key, vectors_key):
+def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
     """[(frame, unit vector)] from one gallery entry or track record.
 
-    Errors name the record's label; a length mismatch gives both lengths
-    and a zero or non-finite vector the frame of its sample.
+    The vectors are read as one matrix and normalized row by row. They
+    must share one length, and that length must be `dim` unless it is
+    None. Errors name the record's label; a count mismatch gives both
+    counts, mixed lengths give the lengths, and a zero or non-finite
+    vector the frame of its sample.
     """
     label = record["label"]
     try:
@@ -270,13 +283,22 @@ def _unit_samples(kind, record, frames_key, vectors_key):
         if len(frames) != len(vectors):
             raise ValueError(
                 f"{len(frames)} {frames_key} but {len(vectors)} {vectors_key}")
-        samples = []
-        for f, vec in zip(frames, vectors):
-            try:
-                samples.append((int(f), l2_normalize(np.asarray(vec, dtype=np.float64))))
-            except InvalidEmbedding as exc:
-                raise ValueError(f"frame {f}: {exc}") from None
-        return samples
+        if not vectors:
+            return []
+        lengths = sorted({len(vec) for vec in vectors})
+        if len(lengths) > 1:
+            raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
+        if dim is not None and lengths[0] != dim:
+            raise ValueError(f"{vectors_key} have length {lengths[0]}, "
+                             f"not {dim} as in the records before")
+        mat = np.array(vectors, dtype=np.float64)
+        if mat.ndim != 2:
+            raise ValueError(f"{vectors_key} must be vectors of numbers")
+        try:
+            l2_normalize_rows(mat, out=mat)
+        except InvalidEmbedding as exc:
+            raise ValueError(f"frame {frames[exc.row]}: {exc}") from None
+        return list(zip(map(int, frames), mat))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{kind} {label!r}: {exc}") from None
 
@@ -307,11 +329,13 @@ def read_gallery(path) -> Gallery:
     if doc.get("version") != GALLERY_VERSION:
         raise UnsupportedVersion(f"gallery version {doc.get('version')}")
     entries = {}
+    dim = None
     try:
         for ent in doc["entries"]:
-            entries[ent["label"]] = [
-                Prototype(vec, f)
-                for f, vec in _unit_samples("entry", ent, "frames", "prototypes")]
+            samples = _unit_samples("entry", ent, "frames", "prototypes", dim)
+            entries[ent["label"]] = [Prototype(vec, f) for f, vec in samples]
+            if samples:
+                dim = len(samples[0][1])
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -340,10 +364,12 @@ def read_tracks(path):
     if doc.get("version") != TRACKS_VERSION:
         raise UnsupportedVersion(f"tracks version {doc.get('version')}")
     out = []
+    dim = None
     try:
         for t in doc["tracks"]:
-            samples = _unit_samples("track", t, "frames", "embeddings")
+            samples = _unit_samples("track", t, "frames", "embeddings", dim)
             out.append(TrainingTrack(t["label"], samples, float(t["fps"])))
+            dim = len(samples[0][1])  # TrainingTrack rejects an empty track
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad tracks document: {exc}")
     return out
@@ -384,9 +410,9 @@ def read_truth(path):
             raise ValueError(f"fps must be positive and finite: {fps}")
         return GroundTruthStream(
             fps=fps,
-            frame_width=int(doc["frame_width"]),
-            frame_height=int(doc["frame_height"]),
-            embedding_dim=int(doc["embedding_dim"]),
+            frame_width=_size("frame_width", doc["frame_width"]),
+            frame_height=_size("frame_height", doc["frame_height"]),
+            embedding_dim=_size("embedding_dim", doc["embedding_dim"]),
             frames=[],
             presence=presence,
             missing_in_training=tuple(doc.get("missing_in_training", ())),

@@ -7,8 +7,12 @@ draw order is fixed, the output is a pure function of the scenario spec, and eve
 (occlusions, exits, background faces) do not perturb unrelated draws.
 
 Per-frame draw order, for the record: for each participant in label order, a
-pose index, a d-dimensional noise vector, and a 2-vector of box jitter; then
-the same for each background event active in that frame, in event order.
+pose index, a d-dimensional noise vector (only when noise_sigma > 0), and a
+2-vector of box jitter (only when motion_sigma > 0); then the same for each
+background event active in that frame, in event order. Building the
+embeddings never draws: they are the rows of one (detections, dim) matrix,
+which holds the noise after the draws and is then shifted to the pose
+centers and unit-normalized in place, bit for bit as before.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleSpec, InvalidSplit, ParseError
 from .gallery import TrainingTrack
-from .types import BoundingBox, Detection, Landmarks, l2_normalize
+from .types import BoundingBox, Detection, Landmarks, l2_normalize_rows
 
 EVENT_OCCLUSION = "occlusion"
 EVENT_EXIT = "exit"
@@ -93,6 +97,8 @@ class ScenarioSpec:
             raise ValueError("embedding_dim must be at least 2")
         if not (0 <= self.noise_sigma < math.inf and 0 <= self.motion_sigma < math.inf):
             raise ValueError("sigmas must be non-negative and finite")
+        if self.frame_width < 1 or self.frame_height < 1:
+            raise ValueError("frame_width and frame_height must be at least 1")
         object.__setattr__(self, "events", tuple(self.events))
 
     @property
@@ -167,24 +173,11 @@ def _draw_separated(rng, dim, others, min_dist, budget):
         f"within {budget} draws")
 
 
-def _landmarks_for(box: BoundingBox) -> Landmarks:
-    # fixed fractional offsets: eyes, nose tip, mouth corners
-    rel = ((0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80))
-    return Landmarks(tuple(
-        (box.x + fx * box.w, box.y + fy * box.h) for fx, fy in rel))
-
-
-def _grid_positions(count, width, height):
-    """Deterministic, well-separated starting centers for `count` boxes."""
-    cols = math.ceil(math.sqrt(count))
-    rows = math.ceil(count / cols)
-    out = []
-    for i in range(count):
-        r, c = divmod(i, cols)
-        x = width * (c + 0.5) / cols
-        y = height * (r + 0.5) / rows
-        out.append(np.array([x, y], dtype=np.float64))
-    return out
+def _landmark_offsets(size):
+    """The five landmark offsets (eyes, nose tip, mouth corners) from the
+    top-left corner of a face box of side `size`."""
+    return tuple((fx * size, fy * size) for fx, fy in (
+        (0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80)))
 
 
 def _presence_masks(spec: ScenarioSpec):
@@ -206,93 +199,139 @@ def _presence_masks(spec: ScenarioSpec):
     return in_scene, detectable_block
 
 
+# rows per block when the embeddings are finished after the draws
+_EMBED_BLOCK = 512
+
+
 def generate(spec: ScenarioSpec) -> GroundTruthStream:
-    """Produce the full stream for a scenario. Deterministic in the spec."""
+    """Produce the full stream for a scenario. Deterministic in the spec.
+
+    The draws follow the order in the module docstring. Every embedding is
+    a row of one (detections, dim) matrix: the draw loop writes each row's
+    noise and builds the detections around the rows, and a second pass then
+    adds each row's pose center and unit-normalizes the rows a block at a
+    time, bit for bit as one l2_normalize per row would. With noise_sigma 0
+    the rows are plain copies of their centers.
+    """
     rng = np.random.default_rng(spec.seed)
     dim = spec.embedding_dim
+    labels = spec.labels
+    poses = spec.pose_clusters_per_participant
 
     # pose centers: free within a participant, separated across participants
     budget = MAX_DRAWS
-    centers = {}
-    for label in spec.labels:
-        other = [c for cs in centers.values() for c in cs]
+    centers = []
+    for _ in labels:
         own = []
-        for _ in range(spec.pose_clusters_per_participant):
-            v, used = _draw_separated(rng, dim, other, MIN_SEPARATION, budget)
+        for _ in range(poses):
+            v, used = _draw_separated(rng, dim, centers, MIN_SEPARATION, budget)
             budget -= used
             own.append(v)
-        centers[label] = own
+        centers += own
 
     background_events = [e for e in spec.events if e.kind == EVENT_BACKGROUND]
-    all_centers = [c for cs in centers.values() for c in cs]
     background_dirs = []
     for _ in background_events:
-        v, used = _draw_separated(rng, dim, all_centers,
-                                  BACKGROUND_SEPARATION, budget)
+        v, used = _draw_separated(rng, dim, centers, BACKGROUND_SEPARATION, budget)
         budget -= used
         background_dirs.append(v)
+    # participant i's pose p is row i * poses + p, background event j's
+    # direction row len(labels) * poses + j
+    centers = np.array(centers + background_dirs)
 
     in_scene, occluded = _presence_masks(spec)
-
     n = spec.n_frames
-    positions = dict(zip(spec.labels, _grid_positions(
-        spec.participants, spec.frame_width, spec.frame_height)))
-    bg_positions = [
-        np.array([spec.frame_width * (i + 1) / (len(background_events) + 1), 40.0])
-        for i in range(len(background_events))
-    ]
+    windows = [(ev.start, min(ev.start + ev.length, n)) for ev in background_events]
+    total = (sum(int(np.count_nonzero(in_scene[l] & ~occluded[l])) for l in labels)
+             + sum(max(0, stop - start) for start, stop in windows))
+    emb = np.empty((total, dim))
+    sources = []
 
-    def clipped_box(center, size, width, height):
-        x = min(max(center[0] - size / 2, 0.0), width - size)
-        y = min(max(center[1] - size / 2, 0.0), height - size)
-        return BoundingBox(x, y, size, size)
+    width, height = spec.frame_width, spec.frame_height
+    noise_sigma, motion_sigma = spec.noise_sigma, spec.motion_sigma
+    # participants start on a grid, background faces along the top edge
+    cols = math.ceil(math.sqrt(len(labels)))
+    rows = math.ceil(len(labels) / cols)
+    xs = [width * (i % cols + 0.5) / cols for i in range(len(labels))]
+    ys = [height * (i // cols + 0.5) / rows for i in range(len(labels))]
+    n_bg = len(background_events)
+    bg_xs = [width * (j + 1) / (n_bg + 1) for j in range(n_bg)]
+    bg_ys = [40.0] * n_bg
+    scene = [in_scene[l].tolist() for l in labels]
+    hidden = [occluded[l].tolist() for l in labels]
+
+    half = FACE_SIZE / 2
+    x_hi, y_hi = width - half, height - half
+    box_x_hi, box_y_hi = width - FACE_SIZE, height - FACE_SIZE
+    (ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey) = _landmark_offsets(FACE_SIZE)
+    bg_half = BACKGROUND_FACE_SIZE / 2
+    bg_x_hi, bg_y_hi = width - BACKGROUND_FACE_SIZE, height - BACKGROUND_FACE_SIZE
+    bg_marks = _landmark_offsets(BACKGROUND_FACE_SIZE)
 
     frames = []
     presence = {}
-    half = FACE_SIZE / 2
+    row = 0
     for f in range(n):
         detections = []
         present_now = []
-        for label in spec.labels:
-            pose = int(rng.integers(len(centers[label])))
-            noise = rng.normal(0.0, spec.noise_sigma, dim) if spec.noise_sigma > 0 else None
-            jitter = rng.normal(0.0, spec.motion_sigma, 2) if spec.motion_sigma > 0 else np.zeros(2)
-            pos = positions[label]
-            pos += jitter
-            pos[0] = min(max(pos[0], half), spec.frame_width - half)
-            pos[1] = min(max(pos[1], half), spec.frame_height - half)
-            if not in_scene[label][f]:
+        for i, label in enumerate(labels):
+            pose = int(rng.integers(poses))
+            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
+            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
+                      if motion_sigma > 0 else (0.0, 0.0))
+            xs[i] = x = min(max(xs[i] + jx, half), x_hi)
+            ys[i] = y = min(max(ys[i] + jy, half), y_hi)
+            if not scene[i][f]:
                 continue
             present_now.append(label)
-            if occluded[label][f]:
+            if hidden[i][f]:
                 continue
-            if noise is None:
-                emb = centers[label][pose].copy()
-            else:
-                emb = l2_normalize(centers[label][pose] + noise)
-            box = clipped_box(pos, FACE_SIZE, spec.frame_width, spec.frame_height)
+            if noise is not None:
+                emb[row] = noise
+            sources.append(i * poses + pose)
+            x = min(max(x - half, 0.0), box_x_hi)
+            y = min(max(y - half, 0.0), box_y_hi)
             detections.append(Detection(
-                frame=f, box=box, embedding=emb,
-                landmarks=_landmarks_for(box), gt_label=label))
-        for ev, direction, pos in zip(background_events, background_dirs, bg_positions):
-            if not ev.start <= f < ev.start + ev.length:
+                f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row],
+                Landmarks(((x + ax, y + ay), (x + bx, y + by), (x + cx, y + cy),
+                           (x + dx, y + dy), (x + ex, y + ey))),
+                label))
+            row += 1
+        for j, (start, stop) in enumerate(windows):
+            if not start <= f < stop:
                 continue
-            noise = rng.normal(0.0, spec.noise_sigma, dim) if spec.noise_sigma > 0 else None
-            jitter = rng.normal(0.0, spec.motion_sigma, 2) if spec.motion_sigma > 0 else np.zeros(2)
-            pos += jitter
-            emb = direction.copy() if noise is None else l2_normalize(direction + noise)
-            box = clipped_box(pos, BACKGROUND_FACE_SIZE,
-                              spec.frame_width, spec.frame_height)
+            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
+            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
+                      if motion_sigma > 0 else (0.0, 0.0))
+            bg_xs[j] += jx
+            bg_ys[j] += jy
+            if noise is not None:
+                emb[row] = noise
+            sources.append(len(labels) * poses + j)
+            x = min(max(bg_xs[j] - bg_half, 0.0), bg_x_hi)
+            y = min(max(bg_ys[j] - bg_half, 0.0), bg_y_hi)
             detections.append(Detection(
-                frame=f, box=box, embedding=emb,
-                landmarks=_landmarks_for(box), gt_label=None))
+                f, BoundingBox(x, y, BACKGROUND_FACE_SIZE, BACKGROUND_FACE_SIZE), emb[row],
+                Landmarks(tuple((x + ox, y + oy) for ox, oy in bg_marks)), None))
+            row += 1
         frames.append((f, detections))
         presence[f] = tuple(present_now)
 
+    # block-wise, so the gathered centers never take a second full matrix
+    sources = np.array(sources, dtype=np.intp)
+    for lo in range(0, total, _EMBED_BLOCK):
+        block = emb[lo:lo + _EMBED_BLOCK]
+        picked = centers[sources[lo:lo + _EMBED_BLOCK]]
+        if noise_sigma > 0:
+            block += picked
+            l2_normalize_rows(block, out=block)
+        else:
+            block[...] = picked
+
     return GroundTruthStream(
         fps=spec.fps,
-        frame_width=spec.frame_width,
-        frame_height=spec.frame_height,
+        frame_width=width,
+        frame_height=height,
         embedding_dim=dim,
         frames=frames,
         presence=presence,

@@ -42,6 +42,24 @@ def l2_normalize(v) -> np.ndarray:
     return arr / n
 
 
+def l2_normalize_rows(m, out=None) -> np.ndarray:
+    """l2_normalize applied to every row of a 2-D float64 array, bit for bit.
+
+    Each norm is the square root of one BLAS dot of the row with itself,
+    which is what np.linalg.norm computes for a single vector; einsum and
+    row sums add in other orders and differ in the last bit. `out` may be
+    `m` itself. A zero or non-finite row raises InvalidEmbedding whose
+    `row` is the index of the first such row.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)  # m itself when it already is
+    norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, :, 0]
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if bad.size:
+        raise InvalidEmbedding(
+            "cannot normalize a zero or non-finite vector", row=int(bad[0]))
+    return np.divide(m, norms, out=out)
+
+
 def cosine_distance(a, b) -> float:
     """1 - dot(a, b) for unit vectors; lies in [0, 2].
 

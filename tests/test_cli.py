@@ -164,6 +164,74 @@ def test_tracks_with_missing_frame_indices_exit_2(demo, tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+def test_ragged_tracks_exit_2(demo, tmp_path, capsys):
+    tracks = tmp_path / "ragged.json"
+    for doc in edited_copy(demo / "tracks.json", tracks, 1):
+        doc["tracks"][0]["embeddings"][2].pop()
+        label = doc["tracks"][0]["label"]
+    code = run_cli("gallery", "--tracks", tracks, "--out", tmp_path / "g.json")
+    assert code == 2
+    assert f"track '{label}': embeddings have mixed lengths" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_mixed_width_tracks_exit_2(demo, tmp_path, capsys):
+    tracks = tmp_path / "mixed.json"
+    for doc in edited_copy(demo / "tracks.json", tracks, 1):
+        last = doc["tracks"][-1]
+        last["embeddings"] = [vec[:-4] for vec in last["embeddings"]]
+        label, width = last["label"], len(last["embeddings"][0])
+    code = run_cli("gallery", "--tracks", tracks, "--out", tmp_path / "g.json")
+    assert code == 2
+    assert f"track '{label}': embeddings have length {width}, not {width + 4}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda protos: protos[0].pop(), "prototypes have mixed lengths"),
+    (lambda protos: [vec.pop() for vec in protos], "prototypes have length"),
+])
+def test_ragged_or_mixed_width_gallery_exits_2(demo, tmp_path, capsys, edit, message):
+    gallery = tmp_path / "bad.json"
+    for doc in edited_copy(demo / "gallery.json", gallery, 1):
+        entry = doc["entries"][-1]
+        assert len(entry["prototypes"]) == 2  # k = 2, so one can be ragged
+        edit(entry["prototypes"])
+        label = entry["label"]
+    code = run_cli("track", "--stream", demo / "stream.jsonl", "--gallery", gallery,
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    assert f"entry '{label}': {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("frame_width", 0), ("frame_height", -1080), ("frame_width", 1.5),
+    ("embedding_dim", 0)])
+def test_bad_stream_header_size_exits_2(demo, tmp_path, capsys, key, bad):
+    stream = tmp_path / "bad.jsonl"
+    for head in edited_copy(demo / "stream.jsonl", stream, 1):
+        head[key] = bad
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl", "--min-area-fraction", "0.001")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and f"{key} must be an integer >= 1" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_bad_truth_size_exits_2(demo, tmp_path, capsys):
+    truth = tmp_path / "bad.json"
+    for doc in edited_copy(demo / "truth.json", truth, 1):
+        doc["frame_width"] = 1.5
+    code = run_cli("score", "--results", demo / "results.jsonl", "--truth", truth,
+                   "--out", tmp_path / "score.csv")
+    assert code == 2
+    assert "frame_width must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "score.csv").exists()
+
+
 @pytest.mark.parametrize("line", [
     "fps = nan", "noise_sigma = inf", "duration_seconds = nan", "train_seconds = nan"])
 def test_non_finite_scenario_value_exits_2(tmp_path, capsys, line):
@@ -175,6 +243,18 @@ def test_non_finite_scenario_value_exits_2(tmp_path, capsys, line):
                    "--out-truth", tmp_path / "gt.json")
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_scenario_frame_size_below_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(SCENARIO.read_text() + "frame_width = 0\n")
+    code = run_cli("gen", "--scenario", cfg,
+                   "--out-stream", tmp_path / "s.jsonl",
+                   "--out-tracks", tmp_path / "t.json",
+                   "--out-truth", tmp_path / "gt.json")
+    assert code == 2
+    assert "frame_width and frame_height must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_infeasible_scenario_exits_2(tmp_path, capsys):

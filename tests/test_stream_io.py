@@ -46,6 +46,7 @@ from prototrack.types import (
     FrameEntry,
     FrameResult,
     Landmarks,
+    l2_normalize,
 )
 
 DIM = 8
@@ -277,6 +278,33 @@ def test_stream_header_fps_must_be_positive(tmp_path, fps):
     assert exc.value.line_number == 1
 
 
+BAD_SIZES = [0, -1080, 1.5, 1920.0, True, "1920", None]
+
+
+@pytest.mark.parametrize("key", ["frame_width", "frame_height", "embedding_dim"])
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_stream_header_sizes_must_be_positive_integers(tmp_path, key, bad):
+    path = tmp_path / "s.jsonl"
+    header = {"version": 1, "fps": 30.0, "frame_width": 1920,
+              "frame_height": 1080, "embedding_dim": DIM}
+    header[key] = bad
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ParseError, match=f"line 1: .*{key} must be an integer >= 1") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 1
+    with pytest.raises(ValueError, match=key):
+        StreamHeader(**dict(header, version=1))
+
+
+def test_stream_header_size_of_one_accepted(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"version":1,"fps":30.0,"frame_width":1,"frame_height":1,'
+                    '"embedding_dim":1}\n{"frame":0,"detections":[]}\n')
+    header, frames = read_stream(path)
+    assert (header.frame_width, header.frame_height, header.embedding_dim) == (1, 1, 1)
+    assert frames == [(0, [])]
+
+
 @pytest.mark.parametrize("field, index", [
     ("embedding", 3), ("box", 0), ("box", 2), ("landmarks", 4)])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -459,6 +487,27 @@ def test_gallery_errors_name_the_entry(tmp_path):
         read_gallery(path)
 
 
+def test_gallery_ragged_entry_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["prototypes"][1].append(0.0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"entry 'bob': prototypes have mixed lengths \[8, 9\]"):
+        read_gallery(path)
+
+
+def test_gallery_mixed_widths_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    for vec in doc["entries"][1]["prototypes"]:
+        del vec[6:]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="entry 'bob': prototypes have length 6, not 8"):
+        read_gallery(path)
+
+
 def test_gallery_bad_json(tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{not json")
@@ -532,6 +581,50 @@ def test_tracks_errors_name_the_track(tmp_path):
         read_tracks(path)
 
 
+def test_tracks_ragged_track_rejected(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"][3].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"track 'amy': embeddings have mixed lengths \[7, 8\]"):
+        read_tracks(path)
+
+
+def test_tracks_mixed_widths_rejected(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "t.json"
+    write_tracks([
+        TrainingTrack("amy", [(i, rand_unit(rng)) for i in range(3)], 30.0),
+        TrainingTrack("bob", [(i, l2_normalize(rng.normal(size=2 * DIM)))
+                              for i in range(3)], 30.0),
+    ], path)
+    with pytest.raises(ParseError, match="track 'bob': embeddings have length 16, not 8"):
+        read_tracks(path)
+
+
+def test_tracks_non_vector_embeddings_rejected(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"] = [[[1.0, 0.0]]] * 8
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="track 'amy': embeddings must be vectors"):
+        read_tracks(path)
+
+
+def test_tracks_read_as_written_bit_for_bit(tmp_path):
+    """One matrix per track, normalized row by row, gives the bits of one
+    l2_normalize per vector."""
+    rng = np.random.default_rng(8)
+    path = tmp_path / "t.json"
+    tracks = [TrainingTrack(f"p{i}", [(f, rand_unit(rng)) for f in range(40)], 30.0)
+              for i in range(3)]
+    write_tracks(tracks, path)
+    doc = json.loads(path.read_text())
+    back = read_tracks(path)
+    for rec, track in zip(doc["tracks"], back):
+        for vec, (_, got) in zip(rec["embeddings"], track.samples):
+            want = l2_normalize(np.asarray(vec, dtype=np.float64))
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
 def test_tracks_unsupported_version(tmp_path):
     path = tmp_path / "t.json"
     path.write_text('{"version":9,"tracks":[]}')
@@ -570,6 +663,21 @@ def test_truth_fps_must_be_positive(tmp_path):
     doc["fps"] = float("nan")
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="fps must be positive"):
+        read_truth(path)
+
+
+@pytest.mark.parametrize("key", ["frame_width", "frame_height", "embedding_dim"])
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_truth_sizes_must_be_positive_integers(tmp_path, key, bad):
+    stream = GroundTruthStream(
+        fps=30.0, frame_width=1280, frame_height=720, embedding_dim=DIM,
+        frames=[], presence={0: ("alice",)})
+    path = tmp_path / "gt.json"
+    write_truth(stream, path)
+    doc = json.loads(path.read_text())
+    doc[key] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"{key} must be an integer >= 1"):
         read_truth(path)
 
 

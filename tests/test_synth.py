@@ -1,5 +1,9 @@
 """Synthetic benchmark generator: determinism, events, separability, splits."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from prototrack.synth import (
     split_train_test,
 )
 from prototrack.types import cosine_distance
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_spec(**overrides):
@@ -48,6 +54,10 @@ def test_spec_validation():
         small_spec(motion_sigma=float("nan"))
     with pytest.raises(ValueError):
         small_spec(embedding_dim=1)
+    with pytest.raises(ValueError):
+        small_spec(frame_width=0)
+    with pytest.raises(ValueError):
+        small_spec(frame_height=-1080)
     with pytest.raises(ValueError):
         Event("teleport", "p01", 0)
     with pytest.raises(ValueError):
@@ -173,6 +183,7 @@ def test_boxes_stay_inside_the_frame():
     for _, dets in stream.frames:
         for d in dets:
             assert d.box.x >= 0 and d.box.y >= 0
+            assert type(d.box.x) is float and type(d.box.y) is float
             assert d.box.x + d.box.w <= 640
             assert d.box.y + d.box.h <= 360
 
@@ -199,6 +210,24 @@ def test_infeasible_separation_raises():
     spec = small_spec(participants=40, embedding_dim=2, duration_seconds=1.0)
     with pytest.raises(InfeasibleSpec):
         generate(spec)
+
+
+def digests_module():
+    spec = importlib.util.spec_from_file_location(
+        "make_synth_digests", DATA / "make_synth_digests.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_generated_files_match_pinned_digests():
+    """stream, tracks and truth files are byte-identical to the recorded ones
+    (zero noise, clamped still faces, a background face past the end, an
+    occlusion, exits and a reenter)."""
+    mod = digests_module()
+    pinned = json.loads((DATA / mod.DIGESTS_NAME).read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(mod.SCENARIOS)
+    assert mod.digests() == pinned
 
 
 # ---------------------------------------------------------------------------

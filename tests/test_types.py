@@ -16,6 +16,7 @@ from prototrack.types import (
     duplicate_named_labels,
     iou,
     l2_normalize,
+    l2_normalize_rows,
 )
 
 
@@ -49,6 +50,61 @@ def test_l2_normalize_idempotent():
         once = l2_normalize(v)
         twice = l2_normalize(once)
         assert np.max(np.abs(once - twice)) < 1e-6
+
+
+def row_normalizer_cases():
+    """About 300 seeded (rows, dim) matrices: dims from 1 to 1030, odd and
+    power-of-two sizes, magnitudes over twelve decades, and row counts on
+    both sides of the 512-row blocks synth.generate normalizes."""
+    rng = np.random.default_rng(2024)
+    dims = [1, 2, 3, 7, 8, 31, 32, 33, 127, 128, 130, 255, 511, 512, 513, 1029, 1030]
+    cases = []
+    for i in range(300):
+        dim = dims[i] if i < len(dims) else int(rng.integers(1, 1031))
+        rows = (511, 512, 513, 1025)[i % 4] if i % 25 == 0 else int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
+        cases.append(rng.normal(size=(rows, dim)) * scale)
+    return cases
+
+
+def test_l2_normalize_rows_matches_l2_normalize_bit_for_bit():
+    for m in row_normalizer_cases():
+        want = np.array([l2_normalize(row) for row in m])
+        got = l2_normalize_rows(m)
+        assert got.shape == m.shape
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), m.shape
+        # in place, one 512-row block at a time, as synth.generate does it
+        blocks = m.copy()
+        for lo in range(0, len(blocks), 512):
+            block = blocks[lo:lo + 512]
+            assert l2_normalize_rows(block, out=block) is block
+        assert np.array_equal(want.view(np.uint64), blocks.view(np.uint64)), m.shape
+
+
+def test_l2_normalize_rows_reads_non_contiguous_input():
+    m = np.random.default_rng(3).normal(size=(6, 10))[:, ::2]
+    want = np.array([l2_normalize(row) for row in m])
+    assert np.array_equal(want.view(np.uint64), l2_normalize_rows(m).view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan])
+def test_l2_normalize_rows_rejects_zero_and_non_finite_rows(bad):
+    m = np.random.default_rng(4).normal(size=(5, 6))
+    m[3] = 0.0 if bad == 0.0 else m[3]
+    m[3, 2] = bad
+    m[4] = 0.0
+    with pytest.raises(InvalidEmbedding, match="zero or non-finite") as exc:
+        l2_normalize_rows(m)
+    assert exc.value.row == 3
+
+
+def test_l2_normalize_rows_rejects_overflowing_norm():
+    m = np.full((2, 4), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(InvalidEmbedding) as exc:
+        l2_normalize_rows(m)
+    assert exc.value.row == 0
+    with np.errstate(over="ignore"), pytest.raises(InvalidEmbedding):
+        l2_normalize(m[0])
 
 
 def test_cosine_distance_identity():
