@@ -17,9 +17,9 @@ from statistics import median
 import numpy as np
 
 from .errors import MisalignedStreams
-from .gallery import build_gallery_kmeans
+from .gallery import Gallery, Prototype, build_gallery_kmeans
 from .recognizer import GalleryIndex, RecognizerConfig
-from .tracker import TrackerConfig, run
+from .tracker import TrackerConfig, _as_index, run
 from .types import (
     SOURCE_CLASSIFIED,
     UNKNOWN,
@@ -106,8 +106,8 @@ def score(results, truth) -> AccuracyReport:
 
 
 def _index_from_tracks(tracks) -> GalleryIndex:
-    return GalleryIndex.from_label_matrices(
-        {t.label: [l2_normalize(e) for _, e in t.samples] for t in tracks})
+    return GalleryIndex(Gallery(entries={
+        t.label: [Prototype(l2_normalize(e), f) for f, e in t.samples] for t in tracks}))
 
 
 def _baseline_pass(frames, index, cfg: RecognizerConfig):
@@ -155,7 +155,7 @@ def measure_tracker(frames, gallery, cfg: TrackerConfig, frame_area=None, reps=3
     if reps < 1:
         raise ValueError(f"reps must be positive: {reps}")
     frames = list(frames)
-    index = GalleryIndex(gallery) if gallery.entries else None
+    index = _as_index(gallery)
     times = []
     results = None
     for _ in range(reps):

@@ -105,25 +105,8 @@ def kmeans(points, k, seed, max_iters=100):
         (centroids, assignment): a (k, d) float64 array and a length-n int
         array mapping each point to its cluster. Every cluster is non-empty;
         an empty cluster is repaired by stealing the point currently
-        farthest from its own centroid. No SSE is computed here; only
-        kmeans_trace pays for it.
+        farthest from its own centroid.
     """
-    return _lloyd(points, k, seed, max_iters)
-
-
-def kmeans_trace(points, k, seed, max_iters=100):
-    """kmeans plus the per-iteration SSE trail (for convergence checks).
-
-    The centroids and assignment are bit-identical to kmeans(); only this
-    function computes the SSE, one pass over the points per iteration.
-    """
-    history = []
-    centroids, assignment = _lloyd(points, k, seed, max_iters, history)
-    return centroids, assignment, history
-
-
-def _lloyd(points, k, seed, max_iters, history=None):
-    """The Lloyd loop; appends each iteration's SSE to history if given."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -148,8 +131,6 @@ def _lloyd(points, k, seed, max_iters, history=None):
             break
         assignment = new_assignment
         centroids = _cluster_means(pts, assignment, k)
-        if history is not None:
-            history.append(float(np.sum((pts - centroids[assignment]) ** 2)))
     return centroids, assignment
 
 
@@ -240,6 +221,12 @@ def _checked_tracks(tracks):
     return sorted(tracks, key=lambda t: t.label)
 
 
+def _prototypes(track, indices):
+    """Prototypes of the track's samples at `indices`, in that order."""
+    return [Prototype(l2_normalize(track.samples[j][1]), int(track.samples[j][0]))
+            for j in indices]
+
+
 def build_gallery_kmeans(tracks, k, seed, k_is_total=False):
     """Build a medoid gallery: cluster each participant's samples, then snap
     each centroid to its nearest real sample.
@@ -257,11 +244,7 @@ def build_gallery_kmeans(tracks, k, seed, k_is_total=False):
     for i, track in enumerate(tracks):
         pts = track.matrix()
         centroids, _ = kmeans(pts, min(per_k, len(pts)), seed=[seed, i])
-        protos = []
-        for j in snap_to_medoids(centroids, pts):
-            frame, emb = track.samples[j]
-            protos.append(Prototype(l2_normalize(emb), int(frame)))
-        entries[track.label] = protos
+        entries[track.label] = _prototypes(track, snap_to_medoids(centroids, pts))
     return Gallery(entries=entries, method=METHOD_KMEANS, k=k, seed=seed)
 
 
@@ -290,9 +273,5 @@ def build_gallery_sampling(tracks):
                 seen.add(idx)
                 picked.append(idx)
             j += 1
-        protos = []
-        for idx in picked:
-            frame, emb = track.samples[idx]
-            protos.append(Prototype(l2_normalize(emb), int(frame)))
-        entries[track.label] = protos
+        entries[track.label] = _prototypes(track, picked)
     return Gallery(entries=entries, method=METHOD_SAMPLING, k=None, seed=None)

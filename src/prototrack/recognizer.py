@@ -66,28 +66,16 @@ class GalleryIndex:
     """
 
     def __init__(self, gallery: Gallery):
-        self._stack({label: [p.vector for p in protos]
-                     for label, protos in gallery.entries.items()})
-
-    @classmethod
-    def from_label_matrices(cls, label_matrices):
-        """Build directly from {label: (n_i, d) array or list of d-vectors}
-        without a Gallery."""
-        self = cls.__new__(cls)
-        self._stack(label_matrices)
-        return self
-
-    def _stack(self, label_rows):
-        """Stack {label: rows} into the matrix, label by sorted label."""
-        if not label_rows:
+        entries = gallery.entries
+        if not entries:
             raise EmptyGallery("gallery has no prototypes")
-        self.labels = sorted(label_rows)
-        rows = [np.asarray(r, dtype=np.float64)
-                for label in self.labels for r in label_rows[label]]
+        self.labels = sorted(entries)
+        rows = [np.asarray(p.vector, dtype=np.float64)
+                for label in self.labels for p in entries[label]]
         dims = {r.shape[0] for r in rows}
         if len(dims) != 1:
             raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
-        counts = [len(label_rows[label]) for label in self.labels]
+        counts = [len(entries[label]) for label in self.labels]
         self.starts = np.cumsum([0] + counts[:-1], dtype=np.intp)
         self.matrix = np.array(rows)
         self.dim = self.matrix.shape[1]

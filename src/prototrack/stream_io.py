@@ -108,6 +108,26 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _write_lines(path, lines) -> None:
+    """Write each of `lines` followed by a newline, as UTF-8 with Unix line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_document(path, kind, version) -> dict:
+    """The JSON object in `path`, checked to be a `kind` document of `version`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad {kind} JSON: {exc.msg}", exc.lineno)
+    if not isinstance(doc, dict):
+        raise ParseError(f"bad {kind} document: not a JSON object")
+    if doc.get("version") != version:
+        raise UnsupportedVersion(f"{kind} version {doc.get('version')}")
+    return doc
+
+
 def _size(key, value) -> int:
     """A frame side or embedding width: an integer (not a bool or a float
     with no fraction) of at least 1."""
@@ -135,6 +155,18 @@ class StreamHeader:
         return float(self.frame_width * self.frame_height)
 
 
+def _header(doc) -> StreamHeader:
+    """The StreamHeader that a stream header or a truth document declares."""
+    return StreamHeader(float(doc["fps"]), doc["frame_width"],
+                        doc["frame_height"], doc["embedding_dim"])
+
+
+def _header_fields(h) -> dict:
+    """What _header reads, as the stream and truth writers write it."""
+    return {"fps": canonical_float(h.fps), "frame_width": h.frame_width,
+            "frame_height": h.frame_height, "embedding_dim": h.embedding_dim}
+
+
 def _box_rows(boxes) -> list:
     return _float_arrays([(b.x, b.y, b.w, b.h) for b in boxes])
 
@@ -159,13 +191,7 @@ def _frame_record(frame_index, detections) -> str:
 def write_stream(path, header: StreamHeader, frames) -> None:
     """Write a detection stream as JSONL (header line, then frame records)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump({
-            "version": header.version,
-            "fps": canonical_float(header.fps),
-            "frame_width": header.frame_width,
-            "frame_height": header.frame_height,
-            "embedding_dim": header.embedding_dim,
-        }) + "\n")
+        fh.write(_dump({"version": header.version, **_header_fields(header)}) + "\n")
         for frame_index, detections in frames:
             fh.write(_frame_record(frame_index, detections))
 
@@ -214,15 +240,37 @@ def _json_line(raw, lineno):
         raise ParseError(f"bad JSON: {exc.msg}", lineno)
 
 
+def _frame_records(lines, start):
+    """(line number, frame index, record) for each JSONL frame record of
+    `lines`, numbered from `start`.
+
+    A record must be an object whose "frame" is a JSON integer (not a bool
+    or a float) one more than the frame before it; a bad line raises
+    ParseError with its line number, and a frame out of order, repeated or
+    skipped raises OutOfOrderFrame. A truncated final line ends the records.
+    """
+    last = None
+    for lineno, raw in enumerate(lines, start):
+        rec = _json_line(raw, lineno)
+        if rec is None:
+            return  # truncated tail
+        frame = rec.get("frame") if isinstance(rec, dict) else None
+        if type(frame) is not int:
+            raise ParseError(f"frame must be a JSON integer: {frame!r}", lineno)
+        if last is not None and frame != last + 1:
+            raise OutOfOrderFrame(f"line {lineno}: frame {frame} after {last}")
+        last = frame
+        yield lineno, frame, rec
+
+
 def read_stream(path):
     """Read a JSONL detection stream.
 
     Returns (StreamHeader, frames) where frames is a list of
-    (frame index, [Detection...]). Malformed lines raise ParseError with
-    their line number; a frame index other than the previous one plus one
-    (out of order, repeated or skipped) raises OutOfOrderFrame — except
-    that a truncated final line (no trailing newline, e.g. a writer caught
-    mid-append) is silently dropped. Lines are parsed as they are read.
+    (frame index, [Detection...]). Frame records follow _frame_records'
+    rules for bad lines, frame order and a truncated final line (e.g. a
+    writer caught mid-append), which is silently dropped. Lines are parsed
+    as they are read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -236,46 +284,31 @@ def read_stream(path):
         if head["version"] != STREAM_VERSION:
             raise UnsupportedVersion(f"stream version {head['version']}")
         try:
-            header = StreamHeader(
-                fps=float(head["fps"]),
-                frame_width=head["frame_width"],
-                frame_height=head["frame_height"],
-                embedding_dim=head["embedding_dim"],
-            )
+            header = _header(head)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad stream header: {exc}", 1)
 
         frames = []
-        last = None
-        for lineno, raw in enumerate(fh, 2):
-            rec = _json_line(raw, lineno)
-            if rec is None:
-                break  # truncated tail
+        for lineno, frame_index, rec in _frame_records(fh, 2):
             try:
-                frame_index = int(rec["frame"])
-                raw_dets = rec["detections"]
-            except (KeyError, TypeError, ValueError) as exc:
+                raw_dets = list(rec["detections"])
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad frame record: {exc}", lineno)
-            if last is not None and frame_index != last + 1:
-                raise OutOfOrderFrame(
-                    f"line {lineno}: frame {frame_index} after {last}")
-            last = frame_index
-            detections = [
+            frames.append((frame_index, [
                 _parse_detection(r, frame_index, header.embedding_dim, lineno)
-                for r in raw_dets
-            ]
-            frames.append((frame_index, detections))
+                for r in raw_dets]))
     return header, frames
 
 
 def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
     """[(frame, unit vector)] from one gallery entry or track record.
 
-    The vectors are read as one matrix and normalized row by row. They
-    must share one length, and that length must be `dim` unless it is
-    None. Errors name the record's label; a count mismatch gives both
-    counts, mixed lengths give the lengths, and a zero or non-finite
-    vector the frame of its sample.
+    Frames must be JSON integers (not bools or floats). The vectors are
+    read as one matrix and normalized row by row. They must share one
+    length, and that length must be `dim` unless it is None. Errors name
+    the record's label; a count mismatch gives both counts, mixed lengths
+    give the lengths, and a zero or non-finite vector the frame of its
+    sample.
     """
     label = record["label"]
     try:
@@ -283,14 +316,16 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
         if len(frames) != len(vectors):
             raise ValueError(
                 f"{len(frames)} {frames_key} but {len(vectors)} {vectors_key}")
+        for frame in frames:
+            if type(frame) is not int:
+                raise ValueError(f"{frames_key} must be JSON integers: {frame!r}")
         if not vectors:
             return []
         lengths = sorted({len(vec) for vec in vectors})
         if len(lengths) > 1:
             raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
         if dim is not None and lengths[0] != dim:
-            raise ValueError(f"{vectors_key} have length {lengths[0]}, "
-                             f"not {dim} as in the records before")
+            raise ValueError(f"{vectors_key} have length {lengths[0]}, not {dim}")
         mat = np.array(vectors, dtype=np.float64)
         if mat.ndim != 2:
             raise ValueError(f"{vectors_key} must be vectors of numbers")
@@ -298,7 +333,7 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
             l2_normalize_rows(mat, out=mat)
         except InvalidEmbedding as exc:
             raise ValueError(f"frame {frames[exc.row]}: {exc}") from None
-        return list(zip(map(int, frames), mat))
+        return list(zip(frames, mat))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{kind} {label!r}: {exc}") from None
 
@@ -313,29 +348,22 @@ def write_gallery(gallery: Gallery, path) -> None:
         entries.append('{"label":%s,"frames":%s,"prototypes":[%s]}' % (
             json.dumps(label), _int_array([p.source_frame for p in protos]),
             ",".join(_float_arrays([p.vector for p in protos]))))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
-                 '"entries":[%s]}\n' % (
-                     GALLERY_VERSION, json.dumps(gallery.method), json.dumps(gallery.k),
-                     json.dumps(gallery.seed), json.dumps(gallery.dim), ",".join(entries)))
+    _write_lines(path, ['{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
+                        '"entries":[%s]}' % (
+                            GALLERY_VERSION, json.dumps(gallery.method),
+                            json.dumps(gallery.k), json.dumps(gallery.seed),
+                            json.dumps(gallery.dim), ",".join(entries))])
 
 
 def read_gallery(path) -> Gallery:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad gallery JSON: {exc.msg}", exc.lineno)
-    if doc.get("version") != GALLERY_VERSION:
-        raise UnsupportedVersion(f"gallery version {doc.get('version')}")
+    """Read a gallery; every prototype must have the declared embedding_dim."""
+    doc = _read_document(path, "gallery", GALLERY_VERSION)
     entries = {}
-    dim = None
     try:
+        dim = _size("embedding_dim", doc["embedding_dim"])
         for ent in doc["entries"]:
             samples = _unit_samples("entry", ent, "frames", "prototypes", dim)
             entries[ent["label"]] = [Prototype(vec, f) for f, vec in samples]
-            if samples:
-                dim = len(samples[0][1])
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -351,18 +379,12 @@ def write_tracks(tracks, path) -> None:
             ",".join(_float_arrays([e for _, e in t.samples])))
         for t in sorted(tracks, key=lambda t: t.label)
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"version":%d,"tracks":[%s]}\n' % (TRACKS_VERSION, ",".join(records)))
+    _write_lines(path, ['{"version":%d,"tracks":[%s]}' % (TRACKS_VERSION, ",".join(records))])
 
 
 def read_tracks(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad tracks JSON: {exc.msg}", exc.lineno)
-    if doc.get("version") != TRACKS_VERSION:
-        raise UnsupportedVersion(f"tracks version {doc.get('version')}")
+    """Read training tracks; every embedding must have the first track's width."""
+    doc = _read_document(path, "tracks", TRACKS_VERSION)
     out = []
     dim = None
     try:
@@ -379,42 +401,31 @@ def write_truth(stream, path) -> None:
     """Write ground-truth presence (plus stream metadata) as JSON."""
     doc = {
         "version": TRUTH_VERSION,
-        "fps": canonical_float(stream.fps),
-        "frame_width": stream.frame_width,
-        "frame_height": stream.frame_height,
-        "embedding_dim": stream.embedding_dim,
+        **_header_fields(stream),
         "missing_in_training": list(stream.missing_in_training),
         "presence": {str(f): list(stream.presence[f])
                      for f in sorted(stream.presence)},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump(doc) + "\n")
+    _write_lines(path, [_dump(doc)])
 
 
 def read_truth(path):
     """Read a truth file back into a detection-free GroundTruthStream."""
     from .synth import GroundTruthStream
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad truth JSON: {exc.msg}", exc.lineno)
-    if doc.get("version") != TRUTH_VERSION:
-        raise UnsupportedVersion(f"truth version {doc.get('version')}")
+    doc = _read_document(path, "truth", TRUTH_VERSION)
     try:
-        presence = {int(f): tuple(labels)
-                    for f, labels in doc["presence"].items()}
-        fps = float(doc["fps"])
-        if not 0 < fps < math.inf:
-            raise ValueError(f"fps must be positive and finite: {fps}")
+        presence = doc["presence"]
+        if not isinstance(presence, dict):
+            raise TypeError("presence must be a JSON object")
+        for key in presence:  # frame indices, spelled as write_truth spells them
+            if str(int(key)) != key:
+                raise ValueError(f"presence key {key!r} is not a decimal integer")
+        header = _header(doc)
         return GroundTruthStream(
-            fps=fps,
-            frame_width=_size("frame_width", doc["frame_width"]),
-            frame_height=_size("frame_height", doc["frame_height"]),
-            embedding_dim=_size("embedding_dim", doc["embedding_dim"]),
+            header.fps, header.frame_width, header.frame_height, header.embedding_dim,
             frames=[],
-            presence=presence,
+            presence={int(f): tuple(labels) for f, labels in presence.items()},
             missing_in_training=tuple(doc.get("missing_in_training", ())),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -441,15 +452,11 @@ def write_results(results, path) -> None:
 
 
 def read_results(path):
-    """Read a JSONL results file as FrameResults, with read_stream's rules
-    for bad lines, frame gaps and a truncated final line."""
+    """Read a JSONL results file as FrameResults, with _frame_records' rules
+    for bad lines, frame order and a truncated final line."""
     out = []
-    last = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            rec = _json_line(raw, lineno)
-            if rec is None:
-                break  # truncated tail
+        for lineno, frame_index, rec in _frame_records(fh, 1):
             try:
                 entries = tuple(
                     FrameEntry(
@@ -463,14 +470,8 @@ def read_results(path):
                 if not all(map(math.isfinite, [v for e in entries for v in (
                         e.box.x, e.box.y, e.box.w, e.box.h, e.distance)])):
                     raise ValueError("non-finite box or distance")
-                frame_index = int(rec["frame"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad result record: {exc}", lineno)
-            if any(e.source not in ENTRY_SOURCES for e in entries):
-                raise ParseError("unknown entry source", lineno)
-            if last is not None and frame_index != last + 1:
-                raise OutOfOrderFrame(f"line {lineno}: frame {frame_index} after {last}")
-            last = frame_index
             out.append(FrameResult(frame_index, entries))
     return out
 
@@ -489,8 +490,7 @@ def write_score_csv(report, path) -> None:
     for label, acc in report.per_person.items():
         lines.append(f"{label},{_fmt(acc)}")
     lines.append(f"Average,{_fmt(report.average)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_score_json(report, path) -> None:
@@ -501,8 +501,7 @@ def write_score_json(report, path) -> None:
         "unknown_rate": canonical_float(report.unknown_rate),
         "false_label_rate": canonical_float(report.false_label_rate),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump(doc) + "\n")
+    _write_lines(path, [_dump(doc)])
 
 
 def write_summary_csv(results, path) -> None:
@@ -518,28 +517,11 @@ def write_summary_csv(results, path) -> None:
         total = sum(st.values())
         lines.append(
             f"{label},{total},{st['classified']},{st['reused']},{st['occluded']}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_timing_csv(rows, path) -> None:
-    """Table of timing comparisons.
-
-    rows: iterables of (name, duration_seconds, faces, baseline_spf,
-    ours_spf, speedup_factor).
-    """
-    lines = ["video,duration_seconds,faces,baseline_seconds_per_frame,"
-             "ours_seconds_per_frame,speedup_factor"]
-    for name, duration, faces, base_spf, ours_spf, speedup in rows:
-        lines.append(f"{name},{_fmt(duration)},{faces},{_fmt(base_spf)},"
-                     f"{_fmt(ours_spf)},{_fmt(speedup)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_sweep_csv(points, path) -> None:
     lines = ["k,accuracy,seconds_per_frame"]
     for p in points:
         lines.append(f"{p.k},{_fmt(p.accuracy)},{_fmt(p.seconds_per_frame)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

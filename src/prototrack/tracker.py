@@ -122,11 +122,20 @@ class TrackerState:
 
 
 def _as_index(gallery):
+    """The GalleryIndex for a Gallery, GalleryIndex or None; None when empty."""
     if gallery is None or isinstance(gallery, GalleryIndex):
         return gallery
     if isinstance(gallery, Gallery) and not gallery.entries:
         return None
     return GalleryIndex(gallery)
+
+
+def _advance(state, frame_index):
+    """Move the state's cursor to frame_index, which must be the next frame."""
+    if frame_index != state.frame_cursor + 1:
+        raise OutOfOrderFrame(
+            f"expected frame {state.frame_cursor + 1}, got {frame_index}")
+    state.frame_cursor = frame_index
 
 
 def _classify_batch(state, index, detections, cfg):
@@ -221,21 +230,17 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
     whose appearance ratio over the window reaches promote_ratio start in
     the active pool with a full confidence counter, the rest start inactive.
     The window's own FrameResults are included in the returned state.
+    gallery is a GalleryIndex, or None to match against an empty gallery.
     """
     frames = list(frames)
     if not frames:
         raise EmptyStream("no frames in the initial window")
-    index = _as_index(gallery)
-    state = TrackerState()
+    state = TrackerState(frame_cursor=frames[0][0] - 1)
     faces = {}  # label -> TrackedFace, in first-seen order
-    last_cursor = None
     for i, (frame_index, detections) in enumerate(frames):
-        if last_cursor is not None and frame_index != last_cursor + 1:
-            raise OutOfOrderFrame(
-                f"expected frame {last_cursor + 1}, got {frame_index}")
-        last_cursor = frame_index
+        _advance(state, frame_index)
         kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
-        labels, distances = _classify_batch(state, index, kept, cfg)
+        labels, distances = _classify_batch(state, gallery, kept, cfg)
         entries = _resolve_frame([
             FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
             for d, label, distance in zip(kept, labels, distances)
@@ -261,17 +266,16 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
             state.active[label] = face
         else:
             state.inactive[label] = face
-    state.frame_cursor = last_cursor
     return state
 
 
 def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConfig,
          frame_area=None) -> TrackerState:
-    """Advance the tracker by exactly one frame (frame_cursor + 1)."""
-    if frame_index != state.frame_cursor + 1:
-        raise OutOfOrderFrame(
-            f"expected frame {state.frame_cursor + 1}, got {frame_index}")
-    index = _as_index(gallery)
+    """Advance the tracker by exactly one frame (frame_cursor + 1).
+
+    gallery is a GalleryIndex, or None to match against an empty gallery.
+    """
+    _advance(state, frame_index)
     kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
 
     # 1. every identity tracked at frame start ages one processed frame
@@ -292,7 +296,7 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
     # 3. classify everything the reuse pass did not claim; the closest
     # detection speaks for its label when it comes to state updates
     rest = [di for di, slot in enumerate(entry_slots) if slot is None]
-    labels, distances = _classify_batch(state, index, [kept[di] for di in rest], cfg)
+    labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
     claims = {}  # label -> (distance, detection idx) of its closest claim
     for di, label, distance in zip(rest, labels, distances):
         entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
@@ -346,7 +350,6 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
 
     entries = _resolve_frame(entry_slots, placeholders)
     state.results.append(FrameResult(frame_index, entries))
-    state.frame_cursor = frame_index
     return state
 
 
@@ -356,7 +359,8 @@ def run(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
     frames is a sequence of (frame_index, [Detection, ...]) with contiguous
     indices; the returned state's .results covers every input frame, and
     .classify_calls counts embeddings actually classified (the work the
-    reuse and occlusion paths avoided).
+    reuse and occlusion paths avoided). gallery is a Gallery, a
+    GalleryIndex or None; it is indexed once for the whole run.
     """
     frames = list(frames)
     if not frames:

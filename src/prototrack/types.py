@@ -17,12 +17,6 @@ from .errors import DimensionMismatch, InvalidEmbedding
 # never stored in a gallery, and allowed to repeat within one frame.
 UNKNOWN = "Unknown"
 
-# Tolerance for the unit-norm invariant on embeddings.
-NORM_TOL = 1e-6
-
-# Default embedding dimensionality used by generators when unspecified.
-DEFAULT_DIM = 512
-
 SOURCE_CLASSIFIED = "classified"
 SOURCE_REUSED = "reused"
 SOURCE_OCCLUDED = "occluded"

@@ -32,7 +32,6 @@ from prototrack.stream_io import (
     write_gallery,
     write_results,
     write_stream,
-    write_timing_csv,
 )
 from prototrack.synth import Event, ScenarioSpec, generate, split_train_test
 from prototrack.tracker import TrackerConfig, run, run_initial_window, step
@@ -343,7 +342,7 @@ def test_criterion_06_accuracy_gap_vs_baseline():
 # 7. speedup vs classifying against every training sample
 
 
-def test_criterion_07_speedup_vs_exhaustive_baseline(tmp_path, capsys):
+def test_criterion_07_speedup_vs_exhaustive_baseline():
     with criterion(7, "k=16 gallery beats the ~10,000-samples-per-person "
                       "exhaustive baseline by ≥ 5× (median of 3 runs)"):
         spec = benchmark_spec(duration_seconds=342.0, train_seconds=334.0,
@@ -358,16 +357,7 @@ def test_criterion_07_speedup_vs_exhaustive_baseline(tmp_path, capsys):
         _, base = run_baseline(test.frames, tracks, RecognizerConfig(),
                                reps=3)
         combined = with_speedup(ours, base)
-        csv_path = tmp_path / "timing.csv"
-        write_timing_csv(
-            [("synthetic-4p", spec.duration_seconds, spec.participants,
-              base.seconds_per_frame, ours.seconds_per_frame,
-              combined.speedup_factor)],
-            csv_path)
-        with capsys.disabled():
-            print()
-            print(csv_path.read_text(), end="")
-        assert combined.speedup_factor >= 5.0
+        assert combined.speedup_factor >= 5.0, combined
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,9 @@ generate/gallery/track/score pipeline against committed expected output,
 sweeps, and byte-level determinism of every written file."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,75 @@ def test_bad_truth_size_exits_2(demo, tmp_path, capsys):
     assert code == 2
     assert "frame_width must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "score.csv").exists()
+
+
+def rewritten(name, lineno, edit):
+    """Writes the demo's file `name` with one line's decoded value edited."""
+    def write(demo, bad):
+        for doc in edited_copy(demo / name, bad, lineno):
+            edit(doc)
+    return write
+
+
+def holding(text):
+    """Writes `text` as the bad file."""
+    return lambda demo, bad: bad.write_text(text)
+
+
+def float_frame(rec):
+    rec["frame"] = float(rec["frame"])  # 61.0 used to load as frame 61
+
+
+def fractional_track_frame(doc):
+    doc["tracks"][0]["frames"][1] += 0.5
+
+
+def spaced_presence_key(doc):
+    key = next(iter(doc["presence"]))
+    doc["presence"][" " + key] = doc["presence"].pop(key)
+
+
+# (subcommand, option naming the bad file, how the bad file is written)
+BAD_INPUT_FILES = [
+    pytest.param("gallery", "--tracks", holding("[1, 2]"), id="tracks-array"),
+    pytest.param("track", "--gallery", holding("[1, 2]"), id="gallery-array"),
+    pytest.param("score", "--truth", holding("null"), id="truth-null"),
+    pytest.param("score", "--truth", rewritten(
+        "truth.json", 1, lambda doc: doc.update(presence=[])), id="presence-array"),
+    pytest.param("score", "--truth", rewritten(
+        "truth.json", 1, spaced_presence_key), id="presence-key-spaced"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc.update(embedding_dim=256)),
+        id="gallery-width-declared-256"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, fractional_track_frame), id="tracks-frame-fraction"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, float_frame), id="stream-frame-float"),
+    pytest.param("score", "--results", rewritten(
+        "results.jsonl", 2, float_frame), id="results-frame-float"),
+]
+
+
+@pytest.mark.parametrize("command, option, write_bad", BAD_INPUT_FILES)
+def test_bad_input_file_exits_2_without_traceback(demo, tmp_path, command, option,
+                                                  write_bad):
+    bad = tmp_path / "bad"
+    write_bad(demo, bad)
+    files = {"--tracks": demo / "tracks.json", "--gallery": demo / "gallery.json",
+             "--stream": demo / "stream.jsonl", "--results": demo / "results.jsonl",
+             "--truth": demo / "truth.json", option: bad}
+    inputs = {"gallery": ["--tracks"], "track": ["--stream", "--gallery"],
+              "score": ["--results", "--truth"]}[command]
+    argv = [command, *[str(v) for key in inputs for v in (key, files[key])],
+            "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "prototrack", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"prototrack {command}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", [

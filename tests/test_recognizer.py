@@ -184,26 +184,14 @@ def test_classify_batch_returns_label_list_and_distance_array():
     assert distances.shape == (1,)
 
 
-def test_index_constructors_share_one_stacking_path():
-    rng = np.random.default_rng(127)
-    entries, _ = random_instance(rng)
-    via_gallery = GalleryIndex(gallery_from(entries))
-    via_matrices = GalleryIndex.from_label_matrices(
-        {label: np.stack(vectors) for label, vectors in entries.items()})
-    assert via_gallery.labels == via_matrices.labels == sorted(entries)
-    assert np.array_equal(via_gallery.matrix, via_matrices.matrix)
-    assert via_gallery.starts.tolist() == via_matrices.starts.tolist()
-    assert via_gallery.dim == via_matrices.dim
-
-
 def test_index_rejects_mixed_dims_and_empty_input():
     with pytest.raises(DimensionMismatch):
         GalleryIndex(gallery_from({"alice": [np.array([1.0, 0.0])],
                                    "bob": [np.array([1.0, 0.0, 0.0])]}))
     with pytest.raises(DimensionMismatch):
-        GalleryIndex.from_label_matrices({"alice": np.eye(2), "bob": np.eye(3)})
+        GalleryIndex(gallery_from({"alice": list(np.eye(2)), "bob": list(np.eye(3))}))
     with pytest.raises(EmptyGallery):
-        GalleryIndex.from_label_matrices({})
+        GalleryIndex(Gallery(entries={}))
 
 
 def test_classify_invariant_under_prototype_permutation():

@@ -31,7 +31,6 @@ from prototrack.stream_io import (
     write_stream,
     write_summary_csv,
     write_sweep_csv,
-    write_timing_csv,
     write_tracks,
     write_truth,
 )
@@ -373,6 +372,20 @@ def test_stream_frame_gap_rejected_with_line(tmp_path):
         read_stream(path)
 
 
+# frame indices that int() reads as 1: each used to load silently as frame 1
+BAD_FRAMES = [True, 1.0, 1.5, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_FRAMES)
+def test_stream_frame_must_be_json_integer(tmp_path, bad):
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(0, [])])
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"frame": bad, "detections": []}) + "\n")
+    with pytest.raises(ParseError, match="^line 3: frame must be a JSON integer"):
+        read_stream(path)
+
+
 def test_stream_norm_drift_warns_and_renormalizes(tmp_path):
     path = tmp_path / "s.jsonl"
     header = {"version": 1, "fps": 30.0, "frame_width": 1920,
@@ -508,6 +521,38 @@ def test_gallery_mixed_widths_rejected(tmp_path):
         read_gallery(path)
 
 
+@pytest.mark.parametrize("bad", BAD_FRAMES)
+def test_gallery_frames_must_be_json_integers(tmp_path, bad):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["frames"][0] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="entry 'alice': frames must be JSON integers"):
+        read_gallery(path)
+
+
+def test_gallery_prototypes_must_have_the_declared_width(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["embedding_dim"] = 256
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="entry 'alice': prototypes have length 8, not 256"):
+        read_gallery(path)
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_gallery_embedding_dim_must_be_positive_integer(tmp_path, bad):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["embedding_dim"] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="embedding_dim must be an integer >= 1"):
+        read_gallery(path)
+
+
 def test_gallery_bad_json(tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{not json")
@@ -601,6 +646,15 @@ def test_tracks_mixed_widths_rejected(tmp_path):
         read_tracks(path)
 
 
+@pytest.mark.parametrize("bad", BAD_FRAMES)
+def test_tracks_frames_must_be_json_integers(tmp_path, bad):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["frames"][1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="track 'amy': frames must be JSON integers"):
+        read_tracks(path)
+
+
 def test_tracks_non_vector_embeddings_rejected(tmp_path):
     path, doc = tracks_doc(tmp_path)
     doc["tracks"][0]["embeddings"] = [[[1.0, 0.0]]] * 8
@@ -679,6 +733,29 @@ def test_truth_sizes_must_be_positive_integers(tmp_path, key, bad):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=f"{key} must be an integer >= 1"):
         read_truth(path)
+
+
+@pytest.mark.parametrize("key", [" 7", "7 ", "+7", "07", "-0", "7.0", "1_0", "\u0667", "x"])
+def test_truth_presence_keys_must_be_decimal_integers(tmp_path, key):
+    stream = GroundTruthStream(
+        fps=30.0, frame_width=1280, frame_height=720, embedding_dim=DIM,
+        frames=[], presence={7: ("alice",)})
+    path = tmp_path / "gt.json"
+    write_truth(stream, path)
+    doc = json.loads(path.read_text())
+    doc["presence"] = {key: ["alice"]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="bad truth document"):
+        read_truth(path)
+
+
+@pytest.mark.parametrize("reader", [read_gallery, read_tracks, read_truth])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "7", '"version"'])
+def test_documents_must_be_json_objects(tmp_path, reader, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="document: not a JSON object"):
+        reader(path)
 
 
 def test_truth_unsupported_version(tmp_path):
@@ -765,6 +842,15 @@ def test_results_frame_gap_rejected_with_line(tmp_path):
         read_results(path)
 
 
+@pytest.mark.parametrize("bad", BAD_FRAMES)
+def test_results_frame_must_be_json_integer(tmp_path, bad):
+    path = tmp_path / "r.jsonl"
+    lines = [json.dumps({"frame": f, "entries": []}) for f in (0, bad)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="^line 2: frame must be a JSON integer"):
+        read_results(path)
+
+
 def test_results_truncated_tail_dropped(tmp_path):
     path = tmp_path / "r.jsonl"
     write_results(sample_results(), path)
@@ -809,16 +895,6 @@ def test_summary_csv_counts_by_source(tmp_path):
         "label,frames,classified,reused,occluded\n"
         "Unknown,1,1,0,0\n"
         "alice,3,1,1,1\n")
-
-
-def test_timing_csv_shape(tmp_path):
-    path = tmp_path / "timing.csv"
-    write_timing_csv(
-        [("clip-a", 60.0, 3, 0.01, 0.002, 5.0)], path)
-    assert path.read_text() == (
-        "video,duration_seconds,faces,baseline_seconds_per_frame,"
-        "ours_seconds_per_frame,speedup_factor\n"
-        "clip-a,60,3,0.01,0.002,5\n")
 
 
 def test_sweep_csv_shape(tmp_path):

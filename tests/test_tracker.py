@@ -9,7 +9,7 @@ import pytest
 
 from prototrack.errors import EmptyStream, OutOfOrderFrame
 from prototrack.gallery import Gallery, Prototype
-from prototrack.recognizer import RecognizerConfig
+from prototrack.recognizer import GalleryIndex, RecognizerConfig
 from prototrack.tracker import (
     NEW_FACE_ACTIVE,
     TrackedFace,
@@ -54,11 +54,11 @@ BOX_FAR = BoundingBox(1200, 600, 96, 96)
 
 
 def gallery():
-    return Gallery(entries={
+    return GalleryIndex(Gallery(entries={
         "alice": [Prototype(ALICE, 0)],
         "bob": [Prototype(BOB, 0)],
         "carol": [Prototype(CAROL, 0)],
-    })
+    }))
 
 
 def det(frame, box, emb):
