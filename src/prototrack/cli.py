@@ -23,6 +23,7 @@ from .gallery import (
 from .recognizer import RecognizerConfig
 from .stream_io import (
     StreamHeader,
+    iter_stream,
     read_gallery,
     read_results,
     read_stream,
@@ -190,7 +191,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    header, frames = read_stream(args.stream)
+    header, frames = iter_stream(args.stream)
     gallery = read_gallery(args.gallery)
     cfg = TrackerConfig(
         fps=header.fps,

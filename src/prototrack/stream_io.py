@@ -136,6 +136,20 @@ def _size(key, value) -> int:
     return value
 
 
+def _text(key, value) -> str:
+    """A label: a JSON string."""
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a JSON string: {value!r}")
+    return value
+
+
+def _labels(key, value) -> tuple:
+    """A label list: a JSON array of JSON strings."""
+    if type(value) is not list:
+        raise ValueError(f"{key} must be a JSON array of JSON strings: {value!r}")
+    return tuple(_text(f"{key} item", v) for v in value)
+
+
 @dataclass(frozen=True)
 class StreamHeader:
     fps: float
@@ -209,7 +223,7 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
         box = BoundingBox(*coords[:4])
         landmarks = None if points is None else Landmarks(points)
         emb = np.asarray(rec["embedding"], dtype=np.float64)
-        gt = rec.get("gt_label")
+        gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad detection record: {exc}", lineno)
     if emb.ndim != 1 or emb.shape[0] != dim:
@@ -263,15 +277,29 @@ def _frame_records(lines, start):
         yield lineno, frame, rec
 
 
-def read_stream(path):
-    """Read a JSONL detection stream.
+def iter_stream(path):
+    """Open a JSONL detection stream for one pass.
 
-    Returns (StreamHeader, frames) where frames is a list of
-    (frame index, [Detection...]). Frame records follow _frame_records'
-    rules for bad lines, frame order and a truncated final line (e.g. a
-    writer caught mid-append), which is silently dropped. Lines are parsed
-    as they are read.
+    Returns (StreamHeader, frames). The header line is checked now; frames
+    is an iterator that owns the open file and parses one line per frame
+    as it is drawn, yielding (frame index, [Detection...]). Frame records
+    follow _frame_records' rules for bad lines, frame order and a truncated
+    final line (e.g. a writer caught mid-append), which is silently
+    dropped; a bad line raises when the iterator reaches it.
     """
+    records = _stream_records(path)
+    return next(records), records
+
+
+def read_stream(path):
+    """Read a whole JSONL detection stream: iter_stream's header, and its
+    frames as a list of (frame index, [Detection...])."""
+    header, frames = iter_stream(path)
+    return header, list(frames)
+
+
+def _stream_records(path):
+    """The StreamHeader of the stream in `path`, then each of its frames."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -287,17 +315,15 @@ def read_stream(path):
             header = _header(head)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad stream header: {exc}", 1)
-
-        frames = []
+        yield header
         for lineno, frame_index, rec in _frame_records(fh, 2):
             try:
                 raw_dets = list(rec["detections"])
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad frame record: {exc}", lineno)
-            frames.append((frame_index, [
+            yield frame_index, [
                 _parse_detection(r, frame_index, header.embedding_dim, lineno)
-                for r in raw_dets]))
-    return header, frames
+                for r in raw_dets]
 
 
 def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
@@ -425,8 +451,10 @@ def read_truth(path):
         return GroundTruthStream(
             header.fps, header.frame_width, header.frame_height, header.embedding_dim,
             frames=[],
-            presence={int(f): tuple(labels) for f, labels in presence.items()},
-            missing_in_training=tuple(doc.get("missing_in_training", ())),
+            presence={int(f): _labels(f"presence[{f}]", labels)
+                      for f, labels in presence.items()},
+            missing_in_training=_labels("missing_in_training",
+                                        doc.get("missing_in_training", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad truth document: {exc}")
@@ -460,7 +488,7 @@ def read_results(path):
             try:
                 entries = tuple(
                     FrameEntry(
-                        label=e["label"],
+                        label=_text("label", e["label"]),
                         box=BoundingBox(*[float(v) for v in e["box"]]),
                         distance=float(e["distance"]),
                         source=e["source"],

@@ -30,6 +30,7 @@ Per frame the order of business is:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -356,18 +357,20 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
 def run(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
     """Track a whole stream: initial window, then one step per frame.
 
-    frames is a sequence of (frame_index, [Detection, ...]) with contiguous
-    indices; the returned state's .results covers every input frame, and
-    .classify_calls counts embeddings actually classified (the work the
-    reuse and occlusion paths avoided). gallery is a Gallery, a
-    GalleryIndex or None; it is indexed once for the whole run.
+    frames is any iterable of (frame_index, [Detection, ...]) with
+    contiguous indices, a generator included: it is drawn as the run goes,
+    the initial window first and then one frame per step, so only the
+    window is held at once. The returned state's .results covers every
+    input frame, and .classify_calls counts embeddings actually classified
+    (the work the reuse and occlusion paths avoided). gallery is a Gallery,
+    a GalleryIndex or None; it is indexed once for the whole run.
     """
-    frames = list(frames)
-    if not frames:
+    frames = iter(frames)
+    window = list(itertools.islice(frames, cfg.window_frames()))
+    if not window:
         raise EmptyStream("empty detection stream")
     index = _as_index(gallery)
-    window = min(len(frames), cfg.window_frames())
-    state = run_initial_window(frames[:window], index, cfg, frame_area)
-    for frame_index, detections in frames[window:]:
+    state = run_initial_window(window, index, cfg, frame_area)
+    for frame_index, detections in frames:
         step(state, frame_index, detections, index, cfg, frame_area)
     return state

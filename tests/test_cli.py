@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from prototrack import stream_io, tracker
 from prototrack.cli import main
-from prototrack.stream_io import read_gallery, read_results
+from prototrack.stream_io import iter_stream, read_gallery, read_results, read_stream
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = DATA / "demo_scenario.cfg"
@@ -270,6 +271,18 @@ BAD_INPUT_FILES = [
         "truth.json", 1, lambda doc: doc.update(presence=[])), id="presence-array"),
     pytest.param("score", "--truth", rewritten(
         "truth.json", 1, spaced_presence_key), id="presence-key-spaced"),
+    pytest.param("score", "--truth", rewritten(
+        "truth.json", 1, lambda doc: doc["presence"].update({"60": "p01"})),
+        id="presence-labels-string"),
+    pytest.param("score", "--truth", rewritten(
+        "truth.json", 1, lambda doc: doc.update(missing_in_training="carol")),
+        id="missing-in-training-string"),
+    pytest.param("score", "--results", rewritten(
+        "results.jsonl", 2, lambda rec: rec["entries"][0].update(label=5)),
+        id="results-label-number"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0].update(gt_label=[1, 2])),
+        id="stream-gt-label-array"),
     pytest.param("track", "--gallery", rewritten(
         "gallery.json", 1, lambda doc: doc.update(embedding_dim=256)),
         id="gallery-width-declared-256"),
@@ -406,6 +419,59 @@ def test_sweep_command_rows_and_pareto(demo, tmp_path, capsys):
     assert front_rows[0] == rows[0]
     assert front_rows[1:]  # never empty
     assert all(tuple(r.split(",")[:2]) in sweep_keys for r in front_rows[1:])
+
+
+def test_track_streams_the_file_through_the_tracker(demo, tmp_path, monkeypatch):
+    # frames are parsed as the tracker draws them: when a frame is stepped,
+    # no frame past it has been parsed yet
+    parsed = set()
+    real_parse, real_step = stream_io._parse_detection, tracker.step
+
+    def counting_parse(rec, frame_index, *args):
+        parsed.add(frame_index)
+        return real_parse(rec, frame_index, *args)
+
+    stepped = []
+
+    def counting_step(state, frame_index, *args, **kwargs):
+        stepped.append(frame_index)
+        assert max(parsed) <= frame_index  # frames parsed <= frames stepped + 1
+        return real_step(state, frame_index, *args, **kwargs)
+
+    monkeypatch.setattr(stream_io, "_parse_detection", counting_parse)
+    monkeypatch.setattr(tracker, "step", counting_step)
+    out = tmp_path / "results.jsonl"
+    assert run_cli("track", "--stream", demo / "stream.jsonl",
+                   "--gallery", demo / "gallery.json", "--out", out) == 0
+    assert len(stepped) == 20  # the demo's 40 test frames less its 2 s window
+    assert out.read_bytes() == (demo / "results.jsonl").read_bytes()
+
+
+def test_track_on_a_generator_matches_track_on_the_list(demo):
+    header, frames = read_stream(demo / "stream.jsonl")
+    gallery = read_gallery(demo / "gallery.json")
+    cfg = tracker.TrackerConfig(fps=header.fps)
+    listed = tracker.run(frames, gallery, cfg, header.frame_area)
+    _, from_file = iter_stream(demo / "stream.jsonl")
+    for source in ((f for f in frames), from_file):
+        streamed = tracker.run(source, gallery, cfg, header.frame_area)
+        assert [(r.frame, r.entries) for r in streamed.results] == \
+            [(r.frame, r.entries) for r in listed.results]
+        assert streamed.classify_calls == listed.classify_calls
+
+
+def test_track_corrupt_line_after_window_exits_2(demo, tmp_path, capsys):
+    stream = tmp_path / "corrupt.jsonl"
+    lines = (demo / "stream.jsonl").read_text().splitlines(keepends=True)
+    lines[34] = "{not json\n"  # line 35, a frame past the 20-frame window
+    stream.write_text("".join(lines))
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prototrack track: line 35: bad JSON")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 # ------------------------------------------------------------- determinism

@@ -19,6 +19,7 @@ from prototrack.stream_io import (
     STREAM_VERSION,
     StreamHeader,
     canonical_float,
+    iter_stream,
     read_gallery,
     read_results,
     read_stream,
@@ -386,6 +387,49 @@ def test_stream_frame_must_be_json_integer(tmp_path, bad):
         read_stream(path)
 
 
+@pytest.mark.parametrize("bad", [5, [1, 2], None, {"name": "bob"}])
+def test_stream_gt_label_must_be_json_string(tmp_path, bad):
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(0, [Detection(0, BOX, unit(0), gt_label="alice")])])
+    rec = {"frame": 1, "detections": [
+        {"box": [0.0, 0.0, 10.0, 10.0], "embedding": unit(1).tolist(), "gt_label": bad}]}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.raises(ParseError, match="^line 3: .*gt_label must be a JSON string"):
+        read_stream(path)
+
+
+def test_iter_stream_yields_what_read_stream_returns(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, sample_frames(np.random.default_rng(5)))
+    header, frames = iter_stream(path)
+    listed_header, listed = read_stream(path)
+    streamed = list(frames)
+    assert header == listed_header
+    assert [f for f, _ in streamed] == [f for f, _ in listed] == [0, 1, 2]
+    for (_, a), (_, b) in zip(streamed, listed):
+        assert [(d.box, d.landmarks, d.gt_label) for d in a] == \
+            [(d.box, d.landmarks, d.gt_label) for d in b]
+        for da, db in zip(a, b):
+            assert np.array_equal(da.embedding, db.embedding)
+
+
+def test_iter_stream_checks_the_header_now_and_each_line_when_drawn(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(0, [Detection(0, BOX, unit(0))])])
+    with open(path, "a") as fh:
+        fh.write("this is not json\n")
+    header, frames = iter_stream(path)  # the bad line is not read yet
+    assert header == HEADER
+    assert next(frames)[0] == 0
+    with pytest.raises(ParseError, match="^line 3: bad JSON"):
+        next(frames)
+
+    path.write_text('{"frame":0,"detections":[]}\n')
+    with pytest.raises(ParseError, match="^line 1: first line must be the stream header"):
+        iter_stream(path)
+
+
 def test_stream_norm_drift_warns_and_renormalizes(tmp_path):
     path = tmp_path / "s.jsonl"
     header = {"version": 1, "fps": 30.0, "frame_width": 1920,
@@ -749,6 +793,29 @@ def test_truth_presence_keys_must_be_decimal_integers(tmp_path, key):
         read_truth(path)
 
 
+# label lists that used to load as tuples of characters, or not as lists
+@pytest.mark.parametrize("key, bad, message", [
+    ("presence", {"0": "alice"}, r"presence\[0\] must be a JSON array"),
+    ("presence", {"0": None}, r"presence\[0\] must be a JSON array"),
+    ("presence", {"0": ["alice", 5]}, r"presence\[0\] item must be a JSON string"),
+    ("missing_in_training", "carol", "missing_in_training must be a JSON array"),
+    ("missing_in_training", {"carol": 1}, "missing_in_training must be a JSON array"),
+    ("missing_in_training", ["carol", ["dave"]],
+     "missing_in_training item must be a JSON string"),
+])
+def test_truth_label_lists_must_be_arrays_of_strings(tmp_path, key, bad, message):
+    stream = GroundTruthStream(
+        fps=30.0, frame_width=1280, frame_height=720, embedding_dim=DIM,
+        frames=[], presence={0: ("alice",)}, missing_in_training=("carol",))
+    path = tmp_path / "gt.json"
+    write_truth(stream, path)
+    doc = json.loads(path.read_text())
+    doc[key] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad truth document: " + message):
+        read_truth(path)
+
+
 @pytest.mark.parametrize("reader", [read_gallery, read_tracks, read_truth])
 @pytest.mark.parametrize("text", ["[1, 2]", "null", "7", '"version"'])
 def test_documents_must_be_json_objects(tmp_path, reader, text):
@@ -849,6 +916,20 @@ def test_results_frame_must_be_json_integer(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="^line 2: frame must be a JSON integer"):
         read_results(path)
+
+
+@pytest.mark.parametrize("bad", [5, None, ["alice"], True])
+def test_results_label_must_be_json_string(tmp_path, bad):
+    path = tmp_path / "r.jsonl"
+    write_results(sample_results(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["entries"][0]["label"] = bad
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match="^line 2: .*label must be a JSON string") as exc:
+        read_results(path)
+    assert exc.value.line_number == 2
 
 
 def test_results_truncated_tail_dropped(tmp_path):

@@ -7,6 +7,7 @@ exactly 0, 0.5, or 1 and the expected behavior can be stated by hand.
 import numpy as np
 import pytest
 
+from prototrack import tracker
 from prototrack.errors import EmptyStream, OutOfOrderFrame
 from prototrack.gallery import Gallery, Prototype
 from prototrack.recognizer import GalleryIndex, RecognizerConfig
@@ -329,8 +330,9 @@ def test_step_area_filter_skips_small_detections():
 
 
 def test_run_empty_stream_raises():
-    with pytest.raises(EmptyStream):
-        run([], gallery(), cfg())
+    for frames in ([], iter([])):
+        with pytest.raises(EmptyStream):
+            run(frames, gallery(), cfg())
 
 
 def test_run_empty_gallery_everything_unknown():
@@ -359,6 +361,36 @@ def test_run_stream_shorter_than_window():
     state = run(frames, gallery(), cfg())
     assert len(state.results) == 10
     assert set(state.active) == {"alice"}
+
+
+def test_run_draws_the_window_then_one_frame_per_step(monkeypatch):
+    config = cfg()
+    window = config.window_frames()
+    frames = steady_frames(window + 5, [(BOX_A, ALICE), (BOX_B, BOB)])
+    drawn = []
+
+    def source():
+        for frame in frames:
+            drawn.append(frame[0])
+            yield frame
+
+    seen = []  # (call, frame index, frames drawn when called)
+    real_window, real_step = tracker.run_initial_window, tracker.step
+
+    def counting_window(window_frames, *args, **kwargs):
+        seen.append(("window", window_frames[-1][0], len(drawn)))
+        return real_window(window_frames, *args, **kwargs)
+
+    def counting_step(state, frame_index, *args, **kwargs):
+        seen.append(("step", frame_index, len(drawn)))
+        return real_step(state, frame_index, *args, **kwargs)
+
+    monkeypatch.setattr(tracker, "run_initial_window", counting_window)
+    monkeypatch.setattr(tracker, "step", counting_step)
+    state = run(source(), gallery(), config)
+    assert seen == [("window", window - 1, window)] + [
+        ("step", f, f + 1) for f in range(window, window + 5)]
+    assert len(state.results) == window + 5
 
 
 def test_run_never_repeats_a_named_label():

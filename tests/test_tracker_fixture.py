@@ -9,7 +9,7 @@ tracker's behavior to the committed files, byte for byte.
 import importlib.util
 from pathlib import Path
 
-from prototrack.stream_io import read_gallery, read_stream, write_results
+from prototrack.stream_io import iter_stream, read_gallery, read_stream, write_results
 from prototrack.tracker import TrackerConfig, run
 
 DATA = Path(__file__).parent / "data"
@@ -51,3 +51,16 @@ def test_tracker_classification_budget_on_fixture():
     state = run(frames, gallery, TrackerConfig(fps=header.fps),
                 header.frame_area)
     assert state.classify_calls == mod.expected_classify_calls() == 201
+
+
+def test_run_on_a_generator_matches_run_on_the_list():
+    header, frames = read_stream(DATA / "tracker_fixture_stream.jsonl")
+    gallery = read_gallery(DATA / "tracker_fixture_gallery.json")
+    cfg = TrackerConfig(fps=header.fps)
+    listed = run(frames, gallery, cfg, header.frame_area)
+    _, from_file = iter_stream(DATA / "tracker_fixture_stream.jsonl")
+    for source in ((f for f in frames), from_file):
+        streamed = run(source, gallery, cfg, header.frame_area)
+        assert [(r.frame, r.entries) for r in streamed.results] == \
+            [(r.frame, r.entries) for r in listed.results]
+        assert streamed.classify_calls == listed.classify_calls
