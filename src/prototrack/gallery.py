@@ -123,8 +123,9 @@ def kmeans(points, k, seed, max_iters=100):
     centroids = _plus_plus_seed(pts, k, rng)
 
     assignment = None
+    p2 = _sq_norms(pts)  # the points never change, so neither do their norms
     for _ in range(max_iters):
-        d2 = _sq_distances(pts, centroids)
+        d2 = _sq_distances(pts, centroids, p2)
         new_assignment = np.argmin(d2, axis=1)
         _repair_empty_clusters(d2, new_assignment, k)
         if assignment is not None and np.array_equal(new_assignment, assignment):
@@ -150,11 +151,14 @@ def _plus_plus_seed(pts, k, rng):
     return pts[chosen].copy()
 
 
-def _sq_distances(pts, centroids):
-    # |p|^2 + |c|^2 - 2 p.c, computed via one GEMM to keep memory at n*k
-    p2 = np.einsum("ij,ij->i", pts, pts)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p2[:, None] + c2[None, :] - 2.0 * (pts @ centroids.T)
+def _sq_norms(x):
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _sq_distances(pts, centroids, p2):
+    # |p|^2 + |c|^2 - 2 p.c, computed via one GEMM to keep memory at n*k;
+    # p2 is _sq_norms(pts)
+    d2 = p2[:, None] + _sq_norms(centroids)[None, :] - 2.0 * (pts @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -197,7 +201,7 @@ def snap_to_medoids(centroids, points):
         cents = cents.reshape(-1, 1)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    d2 = _sq_distances(cents, pts)
+    d2 = _sq_distances(cents, pts, _sq_norms(cents))
     nearest = np.argmin(d2, axis=1)  # first (lowest) index wins ties
     out = []
     seen = set()

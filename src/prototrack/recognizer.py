@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,10 @@ class RecognizerConfig:
     """Thresholds for classification and detection pre-filtering.
 
     unknown_threshold: distances above this become Unknown.
-    min_area: absolute pixel-area floor for detections; 0 disables.
-    min_area_fraction: floor as a fraction of the frame area; 0 disables.
-    At most one of the two area modes may be active.
+    min_area: absolute pixel-area floor for detections, finite; 0 disables.
+    min_area_fraction: floor as a fraction of the frame area, at most 1;
+        0 disables.
+    At most one of the two area modes may be active. NaN fails every check.
     """
 
     unknown_threshold: float = 0.6
@@ -28,8 +30,11 @@ class RecognizerConfig:
     def __post_init__(self):
         if not 0.0 <= self.unknown_threshold <= 2.0:
             raise ValueError(f"unknown_threshold outside [0, 2]: {self.unknown_threshold}")
-        if self.min_area < 0 or self.min_area_fraction < 0:
-            raise ValueError("area thresholds must be non-negative")
+        if not 0.0 <= self.min_area < math.inf:
+            raise ValueError(f"min_area must be finite and >= 0: {self.min_area}")
+        if not 0.0 <= self.min_area_fraction <= 1.0:
+            raise ValueError(
+                f"min_area_fraction outside [0, 1]: {self.min_area_fraction}")
         if self.min_area > 0 and self.min_area_fraction > 0:
             raise ValueError("min_area and min_area_fraction are mutually exclusive")
 

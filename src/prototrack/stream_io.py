@@ -8,12 +8,16 @@ canonicalized to 9 significant digits, which round-trips the 32-bit values
 the files store. In-memory arithmetic stays 64-bit; vectors are narrowed to
 32-bit on write and re-normalized on read.
 
-The canonical text of a real x is repr(canonical_float(x)), the repr of its
-9-significant-digit value: ``96.0``, ``-0.0``, ``0.100000001``, ``1e-05``,
-``1234567940.0``. Non-finite values would be spelled ``NaN``, ``Infinity``
-and ``-Infinity`` as json.dumps spells them, but the readers reject them:
-every number in an input file must be finite.
-"""
+Numbers are written in the canonical text that floattext defines
+(``96.0``, ``-0.0``, ``0.100000001``, ``1e-05``, ``1234567940.0``). Its
+non-finite spellings ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by
+the readers: every number in an input file must be finite.
+
+The writers spell vectors with floattext.float_arrays, 64 rows (or the
+rows of 64 frames) per call. Its exact integer kernel spells each number x
+with 1e-4 <= |x| < 1 at 9 significant digits (nearly all of an
+embedding's), and a per-number %-format spells the others. write_tracks
+and write_gallery stream their document to the file as they go."""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .errors import (
     ParseError,
     UnsupportedVersion,
 )
+from .floattext import canonical_float, float_arrays, float_text
 from .gallery import Gallery, Prototype, TrainingTrack
 from .types import (
     ENTRY_SOURCES,
@@ -50,54 +55,6 @@ TRUTH_VERSION = 1
 
 # norm drift beyond this on load earns a warning before re-normalization
 DRIFT_TOL = 1e-3
-
-
-def canonical_float(x) -> float:
-    """Round to 9 significant digits — the canonical on-disk precision."""
-    return float(format(float(x), ".9g"))
-
-
-def _float_text(x) -> str:
-    """canonical_float(x) as JSON text, spelled as json.dumps spells it."""
-    x = canonical_float(x)
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-@lru_cache(maxsize=64)
-def _array_format(shape, spec) -> str:
-    """A %-format for a nested JSON array of `shape` with `spec` per number."""
-    if not shape:
-        return spec
-    inner = _array_format(shape[1:], spec)
-    return "[" + ",".join([inner] * shape[0]) + "]"
-
-
-def _float_arrays(values) -> list:
-    """JSON text of each item of `values` (equal-shape vectors or matrices)
-    narrowed to float32, every number spelled as _float_text spells it.
-
-    One %.9g pass formats every number. A decimal of at most 9 significant
-    digits already has the digits of the repr of the double nearest to it,
-    because doubles lie far closer together than such decimals, so only
-    tokens that %g and repr lay out differently are rewritten: integral
-    values below 1e9 (repr adds ".0"), values from 1e9 to 1e16 (repr stays
-    positional) and non-finite ones.
-    """
-    with np.errstate(invalid="ignore"):  # a signalling NaN is still a NaN
-        a = np.asarray(values, dtype=np.float32).astype(np.float64)
-    shape = a.shape[1:]
-    flat = a.reshape(len(a), math.prod(shape))
-    rows = flat.tolist()
-    texts = [_array_format(shape, "%.9g") % tuple(row) for row in rows]
-    mag = np.abs(flat)
-    # 0: %.9g is canonical, 1: "%.1f" is, 2: neither is
-    kind = (((flat == np.floor(flat)) & (mag < 1e9))
-            + 2 * (~np.isfinite(flat) | (mag >= 1e9) & (mag < 1e16)))
-    for i in np.flatnonzero(kind.any(axis=1)).tolist():
-        tokens = [_float_text(x) if k == 2 else ("%.9g", "%.1f")[k] % x
-                  for x, k in zip(rows[i], kind[i].tolist())]
-        texts[i] = _array_format(shape, "%s") % tuple(tokens)
-    return texts
 
 
 def _int_array(values) -> str:
@@ -182,32 +139,33 @@ def _header_fields(h) -> dict:
 
 
 def _box_rows(boxes) -> list:
-    return _float_arrays([(b.x, b.y, b.w, b.h) for b in boxes])
-
-
-def _frame_record(frame_index, detections) -> str:
-    boxes = _box_rows([d.box for d in detections])
-    marks = iter(_float_arrays([d.landmarks.points for d in detections
-                                if d.landmarks is not None]))
-    embeddings = _float_arrays([d.embedding for d in detections])
-    records = []
-    for d, box, embedding in zip(detections, boxes, embeddings):
-        rec = '{"box":' + box
-        if d.landmarks is not None:
-            rec += ',"landmarks":' + next(marks)
-        rec += ',"embedding":' + embedding
-        if d.gt_label is not None:
-            rec += ',"gt_label":' + json.dumps(d.gt_label)
-        records.append(rec + "}")
-    return '{"frame":%d,"detections":[%s]}\n' % (frame_index, ",".join(records))
+    return float_arrays([(b.x, b.y, b.w, b.h) for b in boxes])
 
 
 def write_stream(path, header: StreamHeader, frames) -> None:
     """Write a detection stream as JSONL (header line, then frame records)."""
+    frames = iter(frames)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dump({"version": header.version, **_header_fields(header)}) + "\n")
-        for frame_index, detections in frames:
-            fh.write(_frame_record(frame_index, detections))
+        # numbers are formatted 64 frames at a time, as in write_results
+        while chunk := list(islice(frames, 64)):
+            dets = [d for _, detections in chunk for d in detections]
+            boxes = iter(_box_rows([d.box for d in dets]))
+            marks = iter(float_arrays([d.landmarks.points for d in dets
+                                        if d.landmarks is not None]))
+            embeddings = iter(float_arrays([d.embedding for d in dets]))
+            for frame_index, detections in chunk:
+                records = []
+                for d in detections:
+                    rec = '{"box":' + next(boxes)
+                    if d.landmarks is not None:
+                        rec += ',"landmarks":' + next(marks)
+                    rec += ',"embedding":' + next(embeddings)
+                    if d.gt_label is not None:
+                        rec += ',"gt_label":' + json.dumps(d.gt_label)
+                    records.append(rec + "}")
+                fh.write('{"frame":%d,"detections":[%s]}\n' % (
+                    frame_index, ",".join(records)))
 
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
@@ -364,21 +322,30 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
         raise ValueError(f"{kind} {label!r}: {exc}") from None
 
 
+def _write_float_rows(fh, rows) -> None:
+    """Write the JSON text of each of `rows` to `fh`, comma-separated,
+    formatting 64 rows at a time."""
+    for start in range(0, len(rows), 64):
+        fh.write(("," if start else "") + ",".join(float_arrays(rows[start:start + 64])))
+
+
 def write_gallery(gallery: Gallery, path) -> None:
     """Write a gallery as a single JSON document (labels sorted)."""
     if not gallery.entries:
         raise EmptyGallery("refusing to write a gallery with no prototypes")
-    entries = []
-    for label in gallery.labels:
-        protos = gallery.entries[label]
-        entries.append('{"label":%s,"frames":%s,"prototypes":[%s]}' % (
-            json.dumps(label), _int_array([p.source_frame for p in protos]),
-            ",".join(_float_arrays([p.vector for p in protos]))))
-    _write_lines(path, ['{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
-                        '"entries":[%s]}' % (
-                            GALLERY_VERSION, json.dumps(gallery.method),
-                            json.dumps(gallery.k), json.dumps(gallery.seed),
-                            json.dumps(gallery.dim), ",".join(entries))])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
+                 '"entries":[' % (GALLERY_VERSION, json.dumps(gallery.method),
+                                  json.dumps(gallery.k), json.dumps(gallery.seed),
+                                  json.dumps(gallery.dim)))
+        for i, label in enumerate(gallery.labels):
+            protos = gallery.entries[label]
+            fh.write('%s{"label":%s,"frames":%s,"prototypes":[' % (
+                "," if i else "", json.dumps(label),
+                _int_array([p.source_frame for p in protos])))
+            _write_float_rows(fh, [p.vector for p in protos])
+            fh.write("]}")
+        fh.write("]}\n")
 
 
 def read_gallery(path) -> Gallery:
@@ -397,15 +364,17 @@ def read_gallery(path) -> Gallery:
 
 
 def write_tracks(tracks, path) -> None:
-    """Write training tracks as a single JSON document (labels sorted)."""
-    records = [
-        '{"label":%s,"fps":%s,"frames":%s,"embeddings":[%s]}' % (
-            json.dumps(t.label), _float_text(t.fps),
-            _int_array([f for f, _ in t.samples]),
-            ",".join(_float_arrays([e for _, e in t.samples])))
-        for t in sorted(tracks, key=lambda t: t.label)
-    ]
-    _write_lines(path, ['{"version":%d,"tracks":[%s]}' % (TRACKS_VERSION, ",".join(records))])
+    """Write training tracks as a single JSON document (labels sorted),
+    track by track, so that the text of only 64 embeddings is held at once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{"version":%d,"tracks":[' % TRACKS_VERSION)
+        for i, t in enumerate(sorted(tracks, key=lambda t: t.label)):
+            fh.write('%s{"label":%s,"fps":%s,"frames":%s,"embeddings":[' % (
+                "," if i else "", json.dumps(t.label), float_text(t.fps),
+                _int_array([f for f, _ in t.samples])))
+            _write_float_rows(fh, [e for _, e in t.samples])
+            fh.write("]}")
+        fh.write("]}\n")
 
 
 def read_tracks(path):
@@ -472,7 +441,7 @@ def write_results(results, path) -> None:
             for r in chunk:
                 entries = ",".join([
                     '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (
-                        json.dumps(e.label), next(boxes), _float_text(e.distance),
+                        json.dumps(e.label), next(boxes), float_text(e.distance),
                         json.dumps(e.source))
                     for e in r.entries
                 ])

@@ -92,6 +92,23 @@ def test_bad_option_value_exits_1(demo, tmp_path, capsys):
     assert "reps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--min-area", "nan"),
+    ("--min-area", "inf"),
+    ("--min-area", "nan", "--min-area-fraction", "0.01"),
+    ("--min-area-fraction", "nan"),
+    ("--min-area-fraction", "2"),
+])
+def test_bad_area_threshold_exits_1(demo, tmp_path, capsys, flags):
+    code = run_cli("track", "--stream", demo / "stream.jsonl",
+                   "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "prototrack track:" in err and "min_area" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_malformed_input_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("definitely not json\n")

@@ -77,6 +77,26 @@ def test_config_rejects_both_area_modes():
         RecognizerConfig(min_area=-1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"min_area": float("nan")},
+    {"min_area": float("inf")},
+    {"min_area_fraction": float("nan")},
+    {"min_area_fraction": float("inf")},
+    {"min_area_fraction": -0.01},
+    {"min_area_fraction": 1.5},
+    {"min_area": float("nan"), "min_area_fraction": 0.01},
+    {"min_area": 10.0, "min_area_fraction": float("nan")},
+])
+def test_config_rejects_nan_infinite_and_out_of_range_area_thresholds(kwargs):
+    with pytest.raises(ValueError):
+        RecognizerConfig(**kwargs)
+
+
+def test_config_accepts_area_threshold_bounds():
+    assert RecognizerConfig(min_area=1e12).min_area == 1e12
+    assert RecognizerConfig(min_area_fraction=1.0).min_area_fraction == 1.0
+
+
 def test_area_filter_disabled_accepts_everything():
     cfg = RecognizerConfig()
     assert area_filter(make_detection(1, 1), None, cfg)

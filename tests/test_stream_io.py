@@ -130,6 +130,92 @@ def test_vector_writer_matches_canonical_float_json(tmp_path):
                     f"canonical is {want_tokens[i]!r}")
 
 
+def assert_written_canonically(tmp_path, rows):
+    """write_tracks spells every number of `rows` (float32 vectors of one
+    width) as json.dumps spells canonical_float of it."""
+    rows = np.asarray(rows, dtype=np.float32)
+    path = tmp_path / "t.json"
+    write_tracks([TrainingTrack("p", list(enumerate(rows)), 30.0)], path)
+    text = path.read_text()
+    assert text.endswith("]]}]}\n")
+    embeddings = text[text.index('"embeddings":[[') + 15:-6]
+    tokens = embeddings.replace("],[", ",").split(",")
+    for value, token in zip(rows.ravel(), tokens, strict=True):
+        assert token == json.dumps(canonical_float(value)), f"{value!r} written as {token}"
+
+
+def exact_ties():
+    """Every float32 x with 1e-4 <= x < 1 that lies exactly halfway between
+    two 9-significant-digit decimals.
+
+    x = m 2^-s is exactly m 5^s 10^-s, so x is a tie when m 5^s has 10
+    significant digits, the last a 5. Twice x 10^(8 - E) is then an
+    integer, so m is a multiple of 2^(s - 9 + E) >= 2^10.
+    """
+    ties = []
+    for s in range(24, 38):  # 2^-14 <= x < 1
+        for m in range(2 ** 23, 2 ** 24, 2 ** 10):
+            digits = str(m * 5 ** s)
+            significant = digits.rstrip("0")
+            if (-4 <= len(digits) - 1 - s <= -1 and len(significant) == 10
+                    and significant[-1] == "5"):
+                ties.append(m / 2 ** s)
+    return ties
+
+
+def test_writer_rounds_exact_ties_half_to_even(tmp_path):
+    ties = exact_ties()
+    assert len(ties) == 575
+    assert 0.000366210938 in [canonical_float(x) for x in ties]  # ...37.5 rounds up
+    assert "%.9g" % 0.5009765625 == "0.500976562"  # ...62.5 rounds down
+    values = np.array(ties + [-x for x in ties], dtype=np.float32)
+    assert_written_canonically(tmp_path, np.resize(values, (23, 50)))
+
+
+def test_writer_spells_every_value_near_a_decade_edge(tmp_path):
+    # the decimal exponent changes at each edge; 0.5 is where the binade does
+    edges = np.concatenate([ulps_around(x, 2000)
+                            for x in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 0.5)])
+    values = np.concatenate([edges, -edges])
+    assert_written_canonically(tmp_path, values.reshape(-1, 4001))
+
+
+def test_no_float32_below_one_rounds_up_to_a_decade():
+    # so the 9 rounded digits of an x in [1e-4, 1) never carry into a 10th
+    for decade in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
+        below = np.float32(decade)  # the float32 nearest, on either side
+        if float(below) >= decade:
+            below = np.nextafter(below, np.float32(0))
+        assert float(below) < decade <= float(np.nextafter(below, np.float32(1)))
+        assert canonical_float(below) < decade
+
+
+def test_writer_mixes_decimal_digits_with_every_other_spelling(tmp_path):
+    mixed = [0.25, 0.0, -0.123, -0.0, 3.0, -7.0, 1e-5, 0.5, 1e10, -1e20,
+             float("nan"), 0.000123, float("inf"), float("-inf"), 123.456,
+             -2.5e-7, 0.999999]
+    assert_written_canonically(tmp_path, [mixed])
+    path = tmp_path / "m.json"
+    write_tracks([TrainingTrack("p", [(0, np.array(mixed))], 30.0)], path)
+    assert path.read_text().endswith(
+        '"embeddings":[[0.25,0.0,-0.123000003,-0.0,3.0,-7.0,9.99999975e-06,0.5,'
+        '10000000000.0,-1.00000002e+20,NaN,0.000123000005,Infinity,-Infinity,'
+        '123.456001,-2.49999999e-07,0.999998987]]}]}\n')
+
+
+def test_writer_fills_each_row_with_its_own_fallbacks(tmp_path):
+    # row i has i numbers that take another spelling, at other positions
+    # each time, so each row's placeholders must take that row's values
+    rng = np.random.default_rng(3)
+    others = np.array([7.0, 1e-6, 1e12, 250.5, -0.0, 0.0, 1e20, -3.0])
+    rows = rng.normal(scale=0.05, size=(9, 8))
+    for i in range(9):
+        at = rng.choice(8, size=i, replace=False)
+        rows[i, at] = others[(np.arange(i) + i) % 8]
+    assert_written_canonically(tmp_path, rows)
+    assert_written_canonically(tmp_path, rows[::-1])
+
+
 def canonical_list(values):
     return [canonical_float(v) for v in np.asarray(values, dtype=np.float32)]
 

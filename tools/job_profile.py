@@ -8,7 +8,10 @@ Run from anywhere inside a checkout. Each repeat runs the README loop once:
 the checkout's ``src`` first on the import path and OpenBLAS, OpenMP and MKL
 pinned to one thread. A job's wall time runs from spawn to reap, and its peak
 RSS is the child's ``ru_maxrss`` from ``os.wait4``. The table gives the median
-of each over the repeats.
+of each over the repeats. Below it comes the sha256 of each file the loop
+writes (stream, tracks, truth, gallery, results and score), so that two
+commits can be checked for the same bytes; the script exits 1 if a repeat
+wrote other bytes than the first.
 
 The script imports only the standard library, so its own RSS stays below
 every child's: Linux counts the parent's peak into a child's ``ru_maxrss`` at
@@ -19,6 +22,7 @@ The files go to a temporary directory unless ``--work`` names one.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import statistics
 import subprocess
@@ -29,19 +33,20 @@ from time import perf_counter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 JOBS = ("gen", "gallery", "track", "score")
+OUTPUTS = ("stream.jsonl", "tracks.json", "truth.json", "gallery.json",
+           "results.jsonl", "score.json")
 
 
 def job_argvs(scenario, work):
     """The CLI arguments of each job, in the order they run."""
-    stream, tracks, truth = work / "stream.jsonl", work / "tracks.json", work / "truth.json"
-    gallery, results = work / "gallery.json", work / "results.jsonl"
+    stream, tracks, truth, gallery, results, score = (work / name for name in OUTPUTS)
     return {
         "gen": ["gen", "--scenario", scenario, "--out-stream", stream,
                 "--out-tracks", tracks, "--out-truth", truth],
         "gallery": ["gallery", "--tracks", tracks, "--out", gallery],
         "track": ["track", "--stream", stream, "--gallery", gallery, "--out", results],
         "score": ["score", "--results", results, "--truth", truth,
-                  "--json", work / "score.json"],
+                  "--json", score],
     }
 
 
@@ -67,14 +72,25 @@ def run_job(argv, env):
     return seconds, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
+def sha256_file(path):
+    """The file's sha256, read 1 MiB at a time to keep this process small."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def profile(scenario, work, repeat):
-    """{job: [(seconds, rss_mb) per repeat]}."""
+    """({job: [(seconds, rss_mb) per repeat]}, [{output: sha256} per repeat])."""
     env = child_env()
     runs = {job: [] for job in JOBS}
+    digests = []
     for _ in range(repeat):
         for job, argv in job_argvs(scenario, work).items():
             runs[job].append(run_job(argv, env))
-    return runs
+        digests.append({name: sha256_file(work / name) for name in OUTPUTS})
+    return runs, digests
 
 
 def table(runs, repeat):
@@ -98,12 +114,21 @@ def main(argv=None):
     scenario = args.scenario.resolve()
     if args.work is not None:
         args.work.mkdir(parents=True, exist_ok=True)
-        runs = profile(scenario, args.work, args.repeat)
+        runs, digests = profile(scenario, args.work, args.repeat)
     else:
         with tempfile.TemporaryDirectory(prefix="job_profile-") as tmp:
-            runs = profile(scenario, Path(tmp), args.repeat)
+            runs, digests = profile(scenario, Path(tmp), args.repeat)
     print(f"scenario: {args.scenario}")
     print(table(runs, args.repeat))
+    print("sha256 of each output:")
+    for name, digest in digests[0].items():
+        print(f"{name:<14} {digest}")
+    changed = sorted({name for later in digests[1:] for name in OUTPUTS
+                      if later[name] != digests[0][name]})
+    if changed:
+        print(f"a repeat wrote other bytes than the first: {', '.join(changed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
