@@ -67,7 +67,7 @@ class GalleryIndex:
     """Flattened view of a gallery for fast repeated matching.
 
     Prototypes are stacked into one matrix, grouped by sorted label, so a
-    query is one matrix-vector product plus per-label segment minima.
+    query is one matrix-vector product plus per-label segment maxima.
     """
 
     def __init__(self, gallery: Gallery):
@@ -85,6 +85,19 @@ class GalleryIndex:
         self.matrix = np.array(rows)
         self.dim = self.matrix.shape[1]
 
+    def _label_distances(self, q):
+        """(m, labels): each row of the (m, d) queries' smallest distance to
+        each label's prototypes.
+
+        It takes the largest similarity within each label's contiguous
+        segment, then 1 - s clipped to [0, 2]. Rounding is monotone, so this
+        is the segment minimum of the clipped distances bit for bit, on far
+        fewer columns.
+        """
+        per_label = 1.0 - np.maximum.reduceat(q @ self.matrix.T, self.starts, axis=1)
+        np.maximum(per_label, 0.0, out=per_label)
+        return np.minimum(per_label, 2.0, out=per_label)
+
     def classify_batch(self, embeddings, cfg: RecognizerConfig):
         """Classify a (m, d) batch (or one d-vector as m = 1).
 
@@ -97,10 +110,7 @@ class GalleryIndex:
         if q.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"query dim {q.shape[1]} vs gallery dim {self.dim}")
-        dists = 1.0 - q @ self.matrix.T
-        np.clip(dists, 0.0, 2.0, out=dists)
-        # best distance within each label's contiguous segment
-        per_label = np.minimum.reduceat(dists, self.starts, axis=1)
+        per_label = self._label_distances(q)
         best = np.argmin(per_label, axis=1)  # ties -> lowest = lexicographically smallest label
         distances = per_label[np.arange(len(best)), best]
         names = self.labels

@@ -11,7 +11,9 @@ the files store. In-memory arithmetic stays 64-bit; vectors are narrowed to
 Numbers are written in the canonical text that floattext defines
 (``96.0``, ``-0.0``, ``0.100000001``, ``1e-05``, ``1234567940.0``). Its
 non-finite spellings ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by
-the readers: every number in an input file must be finite.
+the readers: every number in an input file must be finite. Boxes, landmark
+points, distances and fps must be JSON numbers (ints or floats), not
+strings or bools.
 
 The writers spell vectors with floattext.float_arrays, 64 rows (or the
 rows of 64 frames) per call. Its exact integer kernel spells each number x
@@ -93,6 +95,28 @@ def _size(key, value) -> int:
     return value
 
 
+# the types json gives a JSON number; a bool is neither
+_NUMBER_TYPES = {int, float}
+
+
+def _numbers(key, value, n) -> list:
+    """A JSON array of exactly n JSON numbers (ints or floats, not bools or
+    strings), as floats. An integer past the float range is not finite."""
+    if type(value) is not list or len(value) != n or not {*map(type, value)} <= _NUMBER_TYPES:
+        raise ValueError(f"{key} must be an array of {n} JSON numbers: {value!r}")
+    try:
+        return list(map(float, value))
+    except OverflowError:
+        raise ValueError(f"{key} must be finite: {value!r}") from None
+
+
+def _number(key, value) -> float:
+    """One JSON number, as a float, under _numbers' rules."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{key} must be a JSON number: {value!r}")
+    return _numbers(key, [value], 1)[0]
+
+
 def _text(key, value) -> str:
     """A label: a JSON string."""
     if type(value) is not str:
@@ -128,7 +152,7 @@ class StreamHeader:
 
 def _header(doc) -> StreamHeader:
     """The StreamHeader that a stream header or a truth document declares."""
-    return StreamHeader(float(doc["fps"]), doc["frame_width"],
+    return StreamHeader(_number("fps", doc["fps"]), doc["frame_width"],
                         doc["frame_height"], doc["embedding_dim"])
 
 
@@ -170,11 +194,11 @@ def write_stream(path, header: StreamHeader, frames) -> None:
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
     try:
-        bx = rec["box"]
-        coords = [float(bx[0]), float(bx[1]), float(bx[2]), float(bx[3])]
+        coords = _numbers("box", rec["box"], 4)
         points = None
         if "landmarks" in rec:
-            points = tuple((float(p[0]), float(p[1])) for p in rec["landmarks"])
+            points = tuple(tuple(_numbers("landmark point", p, 2))
+                           for p in rec["landmarks"])
             coords += [v for p in points for v in p]
         if not all(map(math.isfinite, coords)):
             raise ValueError("non-finite box or landmark coordinate")
@@ -182,7 +206,7 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
         landmarks = None if points is None else Landmarks(points)
         emb = np.asarray(rec["embedding"], dtype=np.float64)
         gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad detection record: {exc}", lineno)
     if emb.ndim != 1 or emb.shape[0] != dim:
         raise ParseError(
@@ -318,7 +342,7 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
         except InvalidEmbedding as exc:
             raise ValueError(f"frame {frames[exc.row]}: {exc}") from None
         return list(zip(frames, mat))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{kind} {label!r}: {exc}") from None
 
 
@@ -385,7 +409,8 @@ def read_tracks(path):
     try:
         for t in doc["tracks"]:
             samples = _unit_samples("track", t, "frames", "embeddings", dim)
-            out.append(TrainingTrack(t["label"], samples, float(t["fps"])))
+            fps = _number(f"track {t['label']!r}: fps", t["fps"])
+            out.append(TrainingTrack(t["label"], samples, fps))
             dim = len(samples[0][1])  # TrainingTrack rejects an empty track
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad tracks document: {exc}")
@@ -458,8 +483,8 @@ def read_results(path):
                 entries = tuple(
                     FrameEntry(
                         label=_text("label", e["label"]),
-                        box=BoundingBox(*[float(v) for v in e["box"]]),
-                        distance=float(e["distance"]),
+                        box=BoundingBox(*_numbers("box", e["box"], 4)),
+                        distance=_number("distance", e["distance"]),
                         source=e["source"],
                     )
                     for e in rec["entries"]

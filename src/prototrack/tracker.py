@@ -172,18 +172,31 @@ def _edges(boxes):
     return [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in boxes]
 
 
+def _kept(detections, frame_area, cfg):
+    """The detections that area_filter keeps, as a list. With both area
+    floors at 0 it keeps them all, so it is not called per detection."""
+    if cfg.min_area == 0 and cfg.min_area_fraction == 0:
+        return list(detections)
+    return [d for d in detections if area_filter(d, frame_area, cfg)]
+
+
 def _overlap_candidates(kept, active, reuse_iou):
     """Every (-IoU, detection index, label) pair with IoU >= reuse_iou.
 
     Equals the list that types.iou(detection box, last box) builds pair by
     pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
-    box's edges and area computed once per frame.
+    box's edges and area computed once per frame. When reuse_iou is above 0,
+    a pair whose edges show it disjoint is skipped before any arithmetic:
+    each such test implies iw <= 0 or ih <= 0 below.
     """
     tracks = [(label, *e) for label, e in zip(
         active, _edges([face.last_box for face in active.values()]))]
     candidates = []
+    prune = reuse_iou > 0
     for di, (ax, ay, ax2, ay2, aa) in enumerate(_edges([d.box for d in kept])):
         for label, bx, by, bx2, by2, ba in tracks:
+            if prune and (bx >= ax2 or ax >= bx2 or by >= ay2 or ay >= by2):
+                continue
             # max(a, b) and min(a, b), operand order kept
             iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
             ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
@@ -240,7 +253,7 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
     faces = {}  # label -> TrackedFace, in first-seen order
     for i, (frame_index, detections) in enumerate(frames):
         _advance(state, frame_index)
-        kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
+        kept = _kept(detections, frame_area, cfg.recognizer)
         labels, distances = _classify_batch(state, gallery, kept, cfg)
         entries = _resolve_frame([
             FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
@@ -277,7 +290,7 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
     gallery is a GalleryIndex, or None to match against an empty gallery.
     """
     _advance(state, frame_index)
-    kept = [d for d in detections if area_filter(d, frame_area, cfg.recognizer)]
+    kept = _kept(detections, frame_area, cfg.recognizer)
 
     # 1. every identity tracked at frame start ages one processed frame
     for face in [*state.active.values(), *state.inactive.values()]:

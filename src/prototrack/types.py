@@ -3,11 +3,16 @@
 Embeddings are plain numpy arrays, kept at unit L2 norm and in float64 for
 all in-memory arithmetic; file formats narrow them to 32-bit storage and
 they are re-normalized on load.
+
+The per-frame output records, FrameEntry and FrameResult, are immutable
+named tuples: the tracker builds several per frame, and a tuple is the
+cheapest immutable record to build. They compare and hash by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +133,14 @@ class Detection:
     gt_label: str | None = None
 
 
-@dataclass(frozen=True)
-class FrameEntry:
+class _FrameEntryFields(NamedTuple):
+    label: str
+    box: BoundingBox
+    distance: float
+    source: str
+
+
+class FrameEntry(_FrameEntryFields):
     """One identity assertion in a frame's output.
 
     source records how the assertion was produced: a fresh classification,
@@ -137,24 +148,26 @@ class FrameEntry:
     held at the identity's last seen box.
     """
 
-    label: str
-    box: BoundingBox
-    distance: float
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source not in ENTRY_SOURCES:
-            raise ValueError(f"unknown entry source: {self.source!r}")
-        if not self.distance >= 0:
-            raise ValueError(f"distance must be non-negative: {self.distance}")
+    def __new__(cls, label, box, distance, source):
+        if source not in ENTRY_SOURCES:
+            raise ValueError(f"unknown entry source: {source!r}")
+        if not distance >= 0:
+            raise ValueError(f"distance must be non-negative: {distance}")
+        return tuple.__new__(cls, (label, box, distance, source))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (and so _replace) would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameResult:
+class FrameResult(NamedTuple):
     """All identity assertions for one frame."""
 
     frame: int
-    entries: tuple[FrameEntry, ...] = field(default_factory=tuple)
+    entries: tuple[FrameEntry, ...] = ()
 
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.entries)

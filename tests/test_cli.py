@@ -309,6 +309,34 @@ BAD_INPUT_FILES = [
         "stream.jsonl", 3, float_frame), id="stream-frame-float"),
     pytest.param("score", "--results", rewritten(
         "results.jsonl", 2, float_frame), id="results-frame-float"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0].update(box=["1", "2", "3", "4"])),
+        id="stream-box-strings"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0]["box"].append(5.0)),
+        id="stream-box-five-numbers"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0]["landmarks"][2].append(1.0)),
+        id="stream-landmark-three-coordinates"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0]["embedding"].__setitem__(
+            0, 10 ** 400)), id="stream-embedding-integer-past-float-range"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 1, lambda doc: doc.update(fps="30")), id="stream-fps-string"),
+    pytest.param("score", "--results", rewritten(
+        "results.jsonl", 2, lambda rec: rec["entries"][0].update(distance="0.5")),
+        id="results-distance-string"),
+    pytest.param("score", "--results", rewritten(
+        "results.jsonl", 2, lambda rec: rec["entries"][0].update(box=[True, 2, 3, 4])),
+        id="results-box-bool"),
+    pytest.param("score", "--truth", rewritten(
+        "truth.json", 1, lambda doc: doc.update(fps="30")), id="truth-fps-string"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][0].update(fps="30")),
+        id="tracks-fps-string"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][0]["embeddings"][0].__setitem__(
+            0, 10 ** 400)), id="tracks-embedding-integer-past-float-range"),
 ]
 
 

@@ -257,3 +257,62 @@ def test_classification_is_plain_value():
     c = Classification("alice", 0.25)
     assert c.label == "alice"
     assert c.distance == 0.25
+
+
+# ---------------------------------------------------------------------------
+# classify_batch against the clip-then-reduce formula, bit for bit
+
+
+def clip_then_reduce(index, q, threshold):
+    """classify_batch as first written: every prototype column's distance
+    clipped to [0, 2], then each label's segment minimum."""
+    dists = 1.0 - q @ index.matrix.T
+    np.clip(dists, 0.0, 2.0, out=dists)
+    per_label = np.minimum.reduceat(dists, index.starts, axis=1)
+    best = np.argmin(per_label, axis=1)
+    distances = per_label[np.arange(len(best)), best]
+    labels = [index.labels[b] if d <= threshold else UNKNOWN
+              for b, d in zip(best.tolist(), distances.tolist())]
+    return labels, distances, per_label
+
+
+def bitwise_cases():
+    """About 3 000 seeded (entries, queries) pairs at d in {2, 3, 8, 128,
+    512}: one-prototype labels, prototypes repeated within and across
+    labels, and queries equal or antipodal to a prototype."""
+    rng = np.random.default_rng(1701)
+    for i in range(3000):
+        dim = (2, 3, 8, 128, 512)[i % 5]
+        entries = {}
+        pool = []
+        for j in range(int(rng.integers(1, 9))):
+            vectors = []
+            for _ in range(1 if i % 3 == 0 else int(rng.integers(1, 12))):
+                if pool and rng.random() < 0.2:
+                    vectors.append(pool[rng.integers(0, len(pool))])  # a duplicate
+                else:
+                    vectors.append(l2_normalize(rng.normal(size=dim)))
+                pool.append(vectors[-1])
+            entries[f"p{j:02d}"] = vectors
+        queries = [l2_normalize(rng.normal(size=dim)) for _ in range(int(rng.integers(0, 6)))]
+        picked = [pool[k] for k in rng.integers(0, len(pool), size=2)]
+        queries += [picked[0], -picked[1]]  # distance 0 and distance 2
+        yield entries, np.array(queries)[rng.permutation(len(queries))]
+
+
+def test_classify_batch_matches_clip_then_reduce_bit_for_bit():
+    below = above = 0
+    for entries, q in bitwise_cases():
+        index = GalleryIndex(gallery_from(entries))
+        threshold = 0.6
+        labels, distances = index.classify_batch(q, RecognizerConfig(threshold))
+        want_labels, want_distances, want_per_label = clip_then_reduce(index, q, threshold)
+        assert labels == want_labels
+        assert np.array_equal(distances.view(np.uint64), want_distances.view(np.uint64))
+        per_label = index._label_distances(q)
+        assert np.array_equal(per_label.view(np.uint64), want_per_label.view(np.uint64))
+        raw = 1.0 - q @ index.matrix.T
+        below += bool((raw < 0.0).any())
+        above += bool((raw > 2.0).any())
+    # the cases reach past both ends of [0, 2], so they exercise the clamp
+    assert below > 100 and above > 10

@@ -391,26 +391,92 @@ def test_stream_header_size_of_one_accepted(tmp_path):
     assert frames == [(0, [])]
 
 
+def stream_with_line_3(tmp_path, edit):
+    """A three-frame stream whose third line's detection `edit` changed."""
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(f, [Detection(f, BOX, unit(0), landmarks=POINTS)])
+                                for f in range(3)])
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    edit(rec["detections"][0])
+    lines[2] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    return path
+
+
 @pytest.mark.parametrize("field, index", [
     ("embedding", 3), ("box", 0), ("box", 2), ("landmarks", 4)])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_stream_non_finite_value_rejected_with_line(tmp_path, field, index, bad):
-    path = tmp_path / "s.jsonl"
-    frames = [(f, [Detection(f, BOX, unit(0), landmarks=POINTS)])
-              for f in range(3)]
-    write_stream(path, HEADER, frames)
-    lines = path.read_text().splitlines(keepends=True)
-    rec = json.loads(lines[2])
-    det = rec["detections"][0]
-    if field == "landmarks":
-        det["landmarks"][index // 2][index % 2] = bad
-    else:
-        det[field][index] = bad
-    lines[2] = json.dumps(rec) + "\n"
-    path.write_text("".join(lines))
+    def edit(det):
+        if field == "landmarks":
+            det["landmarks"][index // 2][index % 2] = bad
+        else:
+            det[field][index] = bad
+    path = stream_with_line_3(tmp_path, edit)
     with pytest.raises(ParseError, match="line 3: .*non-finite") as exc:
         read_stream(path)
     assert exc.value.line_number == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("box", ["1", "2", "3", "4"]),
+    ("box", [True, 2, 3, 4]),
+    ("box", [1.0, 2.0, None, 4.0]),
+    ("box", [1.0, 2.0, 3.0]),
+    ("box", [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ("box", "1234"),
+    ("box", {"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0}),
+    ("box", [1.0, 2.0, 3.0, 10 ** 400]),
+    ("landmarks", [[1.0, 2.0, 3.0]] * 5),
+    ("landmarks", [[1.0]] * 5),
+    ("landmarks", [["1", 2.0]] * 5),
+    ("landmarks", [[1.0, False]] * 5),
+    ("landmarks", ["12"] * 5),
+    ("landmarks", [[1.0, 2.0]] * 4),
+])
+def test_stream_box_and_landmarks_must_be_json_numbers(tmp_path, field, value):
+    path = stream_with_line_3(tmp_path, lambda det: det.update({field: value}))
+    with pytest.raises(ParseError, match=f"^line 3: bad detection record: .*{field[:8]}") \
+            as exc:
+        read_stream(path)
+    assert exc.value.line_number == 3
+
+
+def test_stream_integer_box_and_landmarks_load_as_floats(tmp_path):
+    path = stream_with_line_3(tmp_path, lambda det: det.update(
+        box=[100, 100, 96, 96], landmarks=[[2 * i + 1, 2 * i + 2] for i in range(5)]))
+    det = read_stream(path)[1][2][1][0]
+    assert det.box == BOX and det.landmarks == POINTS
+    assert {type(v) for v in (*vars(det.box).values(), *sum(det.landmarks.points, ()))} \
+        == {float}
+
+
+def test_stream_integer_past_float_range_in_embedding_rejected(tmp_path):
+    path = stream_with_line_3(
+        tmp_path, lambda det: det["embedding"].__setitem__(0, 10 ** 400))
+    with pytest.raises(ParseError, match="^line 3: bad detection record") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 3
+
+
+@pytest.mark.parametrize("fps", ["30", True, None, [30.0],
+                                 pytest.param(10 ** 400, id="int-past-float-range")])
+def test_stream_header_fps_must_be_a_json_number(tmp_path, fps):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"version": 1, "fps": fps, "frame_width": 1920,
+                                "frame_height": 1080, "embedding_dim": DIM}) + "\n")
+    with pytest.raises(ParseError, match="^line 1: bad stream header: fps must be") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 1
+
+
+def test_stream_header_integer_fps_loads_as_float(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"version":1,"fps":30,"frame_width":1920,"frame_height":1080,'
+                    '"embedding_dim":8}\n')
+    header, _ = read_stream(path)
+    assert header.fps == 30.0 and type(header.fps) is float
 
 
 def test_stream_truncated_final_line_dropped(tmp_path):
@@ -727,6 +793,32 @@ def test_tracks_fps_must_be_positive(tmp_path, fps):
         read_tracks(path)
 
 
+@pytest.mark.parametrize("fps", ["30", False, None, [30.0]])
+def test_tracks_fps_must_be_a_json_number(tmp_path, fps):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["fps"] = fps
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad tracks document: track 'amy': fps must be "
+                                         "a JSON number"):
+        read_tracks(path)
+
+
+def test_tracks_integer_fps_loads_as_float(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["fps"] = 30
+    path.write_text(json.dumps(doc))
+    [track] = read_tracks(path)
+    assert track.fps == 30.0 and type(track.fps) is float
+
+
+def test_tracks_integer_past_float_range_in_embedding_rejected(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"][5][0] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad tracks document: track 'amy': "):
+        read_tracks(path)
+
+
 def test_tracks_non_finite_embedding_rejected(tmp_path):
     path, doc = tracks_doc(tmp_path)
     doc["tracks"][0]["embeddings"][5][0] = float("nan")
@@ -847,6 +939,20 @@ def test_truth_fps_must_be_positive(tmp_path):
     doc["fps"] = float("nan")
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="fps must be positive"):
+        read_truth(path)
+
+
+@pytest.mark.parametrize("fps", ["30", True, None, {"fps": 30.0}])
+def test_truth_fps_must_be_a_json_number(tmp_path, fps):
+    stream = GroundTruthStream(
+        fps=30.0, frame_width=1280, frame_height=720, embedding_dim=DIM,
+        frames=[], presence={0: ("alice",)})
+    path = tmp_path / "gt.json"
+    write_truth(stream, path)
+    doc = json.loads(path.read_text())
+    doc["fps"] = fps
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad truth document: fps must be a JSON number"):
         read_truth(path)
 
 
@@ -977,6 +1083,31 @@ def test_results_non_finite_rejected_with_line(tmp_path, key, index):
     path.write_text("".join(lines))
     with pytest.raises(ParseError, match="line 2: .*non-finite"):
         read_results(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("box", ["1", "2", "3", "4"]),
+    ("box", [1.0, 2.0, True, 4.0]),
+    ("box", [1.0, 2.0, 3.0]),
+    ("box", [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ("box", "1234"),
+    ("distance", "0.5"),
+    ("distance", True),
+    ("distance", None),
+    ("distance", [0.5]),
+    pytest.param("distance", 10 ** 400, id="distance-int-past-float-range"),
+])
+def test_results_box_and_distance_must_be_json_numbers(tmp_path, key, value):
+    path = tmp_path / "r.jsonl"
+    write_results(sample_results(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["entries"][0][key] = value
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"^line 2: bad result record: {key} must be") as exc:
+        read_results(path)
+    assert exc.value.line_number == 2
 
 
 def test_results_out_of_order_rejected(tmp_path):

@@ -492,11 +492,14 @@ def test_reuse_equivalence_and_saved_work():
 
 def random_boxes(rng, n, pool=()):
     """Boxes on a coarse grid (touching edges are common), with identical
-    and nested copies of earlier boxes mixed in, plus a few off-grid ones."""
+    and nested copies of earlier boxes mixed in, plus a few off-grid ones,
+    copies moved to touch an earlier box's right or bottom edge, and boxes
+    near 1e17, where x + w rounds back to x for w = 1 (the float spacing
+    there is 16)."""
     boxes = []
     for _ in range(n):
         earlier = list(pool) + boxes
-        kind = rng.integers(0, 5)
+        kind = rng.integers(0, 7)
         if kind == 0 and earlier:
             boxes.append(earlier[rng.integers(0, len(earlier))])  # identical
         elif kind == 1 and earlier:
@@ -507,6 +510,14 @@ def random_boxes(rng, n, pool=()):
                                      b.h * (1 - fy) * rng.uniform(0.2, 1.0)))
         elif kind == 2:
             boxes.append(BoundingBox(*rng.uniform(0, 60, 2), *rng.uniform(1, 40, 2)))
+        elif kind == 3 and earlier:
+            b = earlier[rng.integers(0, len(earlier))]  # touching b's edge
+            right = rng.random() < 0.5
+            boxes.append(BoundingBox(b.x + b.w if right else b.x,
+                                     b.y if right else b.y + b.h, b.w, b.h))
+        elif kind == 4:
+            boxes.append(BoundingBox(*(1e17 + 16 * rng.integers(0, 3, 2)),
+                                     *rng.choice([1.0, 16.0, 64.0], 2)))
         else:
             boxes.append(BoundingBox(*(10 * rng.integers(0, 6, 2)),
                                      *(10 * rng.integers(1, 4, 2))))
@@ -533,11 +544,11 @@ def active_faces(boxes):
             for i, box in enumerate(boxes)}
 
 
-@pytest.mark.parametrize("reuse_iou", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("reuse_iou", [0.0, 0.01, 0.5, 1.0])
 def test_overlap_association_matches_per_pair_iou(reuse_iou):
     rng = np.random.default_rng(401)
     config = cfg(reuse_iou=reuse_iou)
-    for _ in range(300):
+    for _ in range(600):
         face_boxes = random_boxes(rng, int(rng.integers(0, 6)))
         det_boxes = random_boxes(rng, int(rng.integers(0, 7)), face_boxes)
         active = active_faces(face_boxes)
@@ -545,6 +556,8 @@ def test_overlap_association_matches_per_pair_iou(reuse_iou):
         dets = [det(1, box, one_hot(7)) for box in det_boxes]
         # exact equality: same pairs, same order, same float bits
         assert _overlap_candidates(dets, active, reuse_iou) == want
+        if reuse_iou == 0:  # every pair is a candidate, disjoint ones at 0.0
+            assert len(want) == len(dets) * len(active)
 
         state = TrackerState(active=active, frame_cursor=0)
         step(state, 1, dets, gallery(), config)

@@ -1,5 +1,7 @@
 """Core vector/geometry operations and value-type invariants."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from prototrack.errors import DimensionMismatch, InvalidEmbedding
 from prototrack.types import (
     SOURCE_CLASSIFIED,
     SOURCE_OCCLUDED,
+    SOURCE_REUSED,
     UNKNOWN,
     BoundingBox,
     FrameEntry,
@@ -208,3 +211,80 @@ def test_frame_result_labels_and_duplicates():
     assert duplicate_named_labels(result) == {"alice"}
     clean = FrameResult(8, result.entries[:3])
     assert duplicate_named_labels(clean) == set()
+
+
+# ---------------------------------------------------------------------------
+# the per-frame records: immutable named tuples
+
+
+def sample_entry(**changes):
+    fields = dict(label="alice", box=BoundingBox(1.0, 2.0, 3.0, 4.0),
+                  distance=0.1, source=SOURCE_CLASSIFIED)
+    return FrameEntry(**dict(fields, **changes))
+
+
+def test_frame_entry_fields_in_order():
+    entry = FrameEntry("alice", BoundingBox(1.0, 2.0, 3.0, 4.0), 0.1, SOURCE_REUSED)
+    assert FrameEntry._fields == ("label", "box", "distance", "source")
+    assert tuple(entry) == ("alice", BoundingBox(1.0, 2.0, 3.0, 4.0), 0.1, SOURCE_REUSED)
+    assert (entry.label, entry.box, entry.distance, entry.source) == tuple(entry)
+    assert sample_entry() == FrameEntry("alice", BoundingBox(1.0, 2.0, 3.0, 4.0),
+                                        0.1, SOURCE_CLASSIFIED)
+
+
+def test_frame_result_fields_in_order():
+    entries = (sample_entry(), sample_entry(label=UNKNOWN))
+    assert FrameResult._fields == ("frame", "entries")
+    assert tuple(FrameResult(3, entries)) == (3, entries)
+    assert FrameResult(frame=3, entries=entries).entries is entries
+    assert FrameResult(4).entries == ()
+
+
+@pytest.mark.parametrize("record", [sample_entry(), FrameResult(3, (sample_entry(),))])
+def test_frame_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no per-instance __dict__ to put it in
+    assert not hasattr(record, "__dict__")
+
+
+def test_frame_records_compare_and_hash_by_value():
+    a, b = sample_entry(), sample_entry()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != sample_entry(distance=0.2)
+    ra, rb = FrameResult(3, (a,)), FrameResult(3, (b,))
+    assert ra is not rb and ra == rb and hash(ra) == hash(rb)
+    assert ra != FrameResult(4, (a,))
+    assert ra != FrameResult(3, (a, b))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"source": "guessed"}, "unknown entry source: 'guessed'"),
+    ({"distance": -0.1}, "distance must be non-negative: -0.1"),
+    ({"distance": float("nan")}, "distance must be non-negative: nan"),
+])
+def test_frame_entry_validation_errors(changes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_entry(**changes)
+    # _replace and _make build through the same checks
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_entry()._replace(**changes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FrameEntry._make(dict(sample_entry()._asdict(), **changes).values())
+
+
+def test_frame_records_pickle_round_trip():
+    result = FrameResult(9, (sample_entry(), sample_entry(source=SOURCE_OCCLUDED)))
+    back = pickle.loads(pickle.dumps(result))
+    assert back == result
+    assert type(back) is FrameResult
+    assert [type(e) for e in back.entries] == [FrameEntry, FrameEntry]
+
+
+def test_frame_records_repr():
+    entry = sample_entry()
+    assert repr(entry) == ("FrameEntry(label='alice', box=BoundingBox(x=1.0, y=2.0, "
+                           "w=3.0, h=4.0), distance=0.1, source='classified')")
+    assert repr(FrameResult(3, (entry,))) == f"FrameResult(frame=3, entries=({entry!r},))"
