@@ -13,7 +13,9 @@ Numbers are written in the canonical text that floattext defines
 non-finite spellings ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by
 the readers: every number in an input file must be finite. Boxes, landmark
 points, distances and fps must be JSON numbers (ints or floats), not
-strings or bools.
+strings or bools. The values of embedding and prototype vectors must be
+JSON numbers too; a string, a null or an all-bool vector is rejected, but
+a bool among numbers still reads as 1.0 or 0.0.
 
 The writers spell vectors with floattext.float_arrays, 64 rows (or the
 rows of 64 frames) per call. Its exact integer kernel spells each number x
@@ -117,6 +119,26 @@ def _number(key, value) -> float:
     return _numbers(key, [value], 1)[0]
 
 
+def _float_array(key, value) -> np.ndarray:
+    """A JSON array of JSON numbers, or of such arrays, as float64.
+
+    numpy reads it first without a dtype: a string gives kind U, all bools
+    kind b, and both are rejected. null, or an integer past the int64
+    range, gives kind O: then every value must be a JSON number, and the
+    values are converted with dtype float64, so an integer past the float
+    range raises OverflowError. A mix of bools and numbers reads as floats.
+    """
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind == "f":
+        return arr
+    if kind in "iu":
+        return arr.astype(np.float64)
+    if kind == "O" and {*map(type, arr.ravel())} <= _NUMBER_TYPES:
+        return np.asarray(value, dtype=np.float64)
+    raise ValueError(f"{key} must hold only JSON numbers")
+
+
 def _text(key, value) -> str:
     """A label: a JSON string."""
     if type(value) is not str:
@@ -204,7 +226,7 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
             raise ValueError("non-finite box or landmark coordinate")
         box = BoundingBox(*coords[:4])
         landmarks = None if points is None else Landmarks(points)
-        emb = np.asarray(rec["embedding"], dtype=np.float64)
+        emb = _float_array("embedding", rec["embedding"])
         gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad detection record: {exc}", lineno)
@@ -334,7 +356,7 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
             raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
         if dim is not None and lengths[0] != dim:
             raise ValueError(f"{vectors_key} have length {lengths[0]}, not {dim}")
-        mat = np.array(vectors, dtype=np.float64)
+        mat = _float_array(vectors_key, vectors)
         if mat.ndim != 2:
             raise ValueError(f"{vectors_key} must be vectors of numbers")
         try:

@@ -4,6 +4,13 @@ Embeddings are plain numpy arrays, kept at unit L2 norm and in float64 for
 all in-memory arithmetic; file formats narrow them to 32-bit storage and
 they are re-normalized on load.
 
+The input records are compact because a long video holds one Detection
+per face per frame in memory. Detection and BoundingBox are frozen, slotted
+dataclasses with no per-instance __dict__. Landmarks packs its ten
+coordinates into one 80-byte buffer of float64 values and rebuilds the
+(x, y) pairs when `points` is read. Detection compares by identity;
+BoundingBox and Landmarks compare and hash by value.
+
 The per-frame output records, FrameEntry and FrameResult, are immutable
 named tuples: the tracker builds several per frame, and a tuple is the
 cheapest immutable record to build. They compare and hash by value.
@@ -11,7 +18,8 @@ cheapest immutable record to build. They compare and hash by value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +83,22 @@ def cosine_distance(a, b) -> float:
     return min(2.0, max(0.0, d))
 
 
-@dataclass(frozen=True)
+def _frozen(cls):
+    """Make `cls` refuse to set or delete any attribute with
+    FrozenInstanceError. A frozen, slotted dataclass already does so for its
+    fields but raises TypeError for other names (CPython 3.10 to 3.13)."""
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned pixel box: top-left corner plus positive width/height."""
 
@@ -107,18 +130,56 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-@dataclass(frozen=True)
+_POINTS = struct.Struct("10d")
+
+
+@_frozen
 class Landmarks:
-    """Five facial keypoints (eyes, nose tip, mouth corners) in pixel space."""
+    """Five facial keypoints (eyes, nose tip, mouth corners) in pixel space.
 
-    points: tuple[tuple[float, float], ...]
+    The coordinates are stored packed as float64; `points` rebuilds them as
+    a tuple of five (x, y) float pairs on each read.
+    """
 
-    def __post_init__(self):
-        if len(self.points) != 5:
-            raise ValueError(f"expected 5 landmark points, got {len(self.points)}")
+    __slots__ = ("_packed",)
+
+    def __init__(self, points):
+        if len(points) != 5:
+            raise ValueError(f"expected 5 landmark points, got {len(points)}")
+        (ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey) = points
+        try:
+            packed = _POINTS.pack(ax, ay, bx, by, cx, cy, dx, dy, ex, ey)
+        except struct.error:
+            raise TypeError(
+                f"landmark coordinates must be real numbers: {points!r}") from None
+        _set_packed(self, packed)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        ax, ay, bx, by, cx, cy, dx, dy, ex, ey = _POINTS.unpack(self._packed)
+        return ((ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def __repr__(self):
+        return f"Landmarks(points={self.points!r})"
+
+    def __reduce__(self):
+        return Landmarks, (self.points,)
 
 
-@dataclass(frozen=True, eq=False)
+# the slot's own setter: _frozen makes Landmarks.__setattr__ refuse every name
+_set_packed = Landmarks._packed.__set__
+
+
+@_frozen
+@dataclass(frozen=True, slots=True, eq=False)
 class Detection:
     """One detected face in one frame, with its embedding.
 

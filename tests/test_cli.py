@@ -337,6 +337,30 @@ BAD_INPUT_FILES = [
     pytest.param("gallery", "--tracks", rewritten(
         "tracks.json", 1, lambda doc: doc["tracks"][0]["embeddings"][0].__setitem__(
             0, 10 ** 400)), id="tracks-embedding-integer-past-float-range"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0].update(
+            embedding=[str(v) for v in rec["detections"][0]["embedding"]])),
+        id="stream-embedding-strings"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0]["embedding"].__setitem__(
+            0, None)), id="stream-embedding-null"),
+    pytest.param("track", "--stream", rewritten(
+        "stream.jsonl", 3, lambda rec: rec["detections"][0].update(
+            embedding=[v > 0 for v in rec["detections"][0]["embedding"]])),
+        id="stream-embedding-bools"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][0]["embeddings"][0].__setitem__(
+            0, "0.5")), id="tracks-embedding-string"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][0]["embeddings"][1].__setitem__(
+            2, None)), id="tracks-embedding-null"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][0]["prototypes"][0].__setitem__(
+            0, "0.5")), id="gallery-prototype-string"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][0].update(prototypes=[
+            [v > 0 for v in vec] for vec in doc["entries"][0]["prototypes"]])),
+        id="gallery-prototype-bools"),
 ]
 
 

@@ -1,9 +1,11 @@
 """tools/step_profile.py runs the tracker in process on the demo scenario
 and reports, per pass, the steps, the p50 and p99 step time and the garbage
-collections of each generation."""
+collections of each generation, then the scenario's detection count and the
+process's peak RSS."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +24,18 @@ def test_step_profile_reports_every_pass_on_the_demo():
     assert lines[1].startswith("40 frames: a 20-frame initial window")
     assert lines[2].split() == ["pass", "steps", "p50_us", "p99_us",
                                 "gc0", "gc0_ms", "gc1", "gc1_ms", "gc2", "gc2_ms"]
-    rows = [line.split() for line in lines[3:]]
+    rows = [line.split() for line in lines[3:5]]
     assert [row[:2] for row in rows] == [["0", "20"], ["1", "20"]]
     for row in rows:
         p50, p99 = float(row[2]), float(row[3])
         assert 0 < p50 <= p99
         assert all(int(n) >= 0 and float(ms) >= 0 for n, ms in zip(row[4::2], row[5::2]))
+    assert len(lines) == 6
+    memory = re.fullmatch(r"305 detections in the scenario; peak RSS ([0-9.]+) MB "
+                          r"after generate, ([0-9.]+) MB after the passes", lines[5])
+    assert memory, lines[5]
+    generated, passes = map(float, memory.groups())
+    assert 0 < generated <= passes  # a peak never falls
 
 
 def test_gc_log_counts_and_times_each_generation(monkeypatch):

@@ -446,9 +446,10 @@ def test_stream_box_and_landmarks_must_be_json_numbers(tmp_path, field, value):
 def test_stream_integer_box_and_landmarks_load_as_floats(tmp_path):
     path = stream_with_line_3(tmp_path, lambda det: det.update(
         box=[100, 100, 96, 96], landmarks=[[2 * i + 1, 2 * i + 2] for i in range(5)]))
-    det = read_stream(path)[1][2][1][0]
+    det = read_stream(path)[1][1][1][0]  # line 3 is frame 1
     assert det.box == BOX and det.landmarks == POINTS
-    assert {type(v) for v in (*vars(det.box).values(), *sum(det.landmarks.points, ()))} \
+    box = det.box
+    assert {type(v) for v in (box.x, box.y, box.w, box.h, *sum(det.landmarks.points, ()))} \
         == {float}
 
 
@@ -458,6 +459,49 @@ def test_stream_integer_past_float_range_in_embedding_rejected(tmp_path):
     with pytest.raises(ParseError, match="^line 3: bad detection record") as exc:
         read_stream(path)
     assert exc.value.line_number == 3
+
+
+# vectors numpy would read as text, null or bools; each replaces a unit(0)
+NON_NUMBER_VECTORS = [
+    pytest.param(["1.0"] + ["0.0"] * (DIM - 1), id="strings"),
+    pytest.param(["1.0"] + [0.0] * (DIM - 1), id="one-string"),
+    pytest.param([1.0, None] + [0.0] * (DIM - 2), id="null"),
+    pytest.param([True] + [False] * (DIM - 1), id="bools"),
+    pytest.param([10 ** 30, None] + [0.0] * (DIM - 2), id="big-int-and-null"),
+    pytest.param([{"v": 1.0}] + [0.0] * (DIM - 1), id="object"),
+]
+
+
+@pytest.mark.parametrize("vector", NON_NUMBER_VECTORS)
+def test_stream_embedding_values_must_be_json_numbers(tmp_path, vector):
+    path = stream_with_line_3(tmp_path, lambda det: det.update(embedding=vector))
+    with pytest.raises(ParseError, match="^line 3: bad detection record: embedding "
+                                         "must hold only JSON numbers$") as exc:
+        read_stream(path)
+    assert exc.value.line_number == 3
+
+
+def test_stream_nested_embedding_rejected(tmp_path):
+    path = stream_with_line_3(tmp_path, lambda det: det.update(
+        embedding=[[v] for v in det["embedding"]]))
+    with pytest.raises(ParseError, match=r"^line 3: embedding has dim \(8, 1\)"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("vector, want", [
+    ([0, 3, 0, 4, 0, 0, 0, 0], [0.0, 0.6, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0]),
+    ([2 ** 63, 0, 0, 0, 0, 0, 0, 0], unit(0)),  # past int64
+    ([10 ** 30, 0, 0, 0, 0, 0, 0, 0], unit(0)),  # past uint64: numpy gives kind O
+    # the remaining gap: a bool among numbers reads as 1.0 or 0.0
+    ([True, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], unit(0)),
+])
+def test_stream_integer_embedding_values_load_as_floats(tmp_path, vector, want):
+    path = stream_with_line_3(tmp_path, lambda det: det.update(embedding=vector))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the norm drifted far from 1
+        det = read_stream(path)[1][1][1][0]  # line 3 is frame 1
+    assert det.embedding.dtype == np.float64
+    assert np.array_equal(det.embedding, want)
 
 
 @pytest.mark.parametrize("fps", ["30", True, None, [30.0],
@@ -817,6 +861,46 @@ def test_tracks_integer_past_float_range_in_embedding_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="^bad tracks document: track 'amy': "):
         read_tracks(path)
+
+
+@pytest.mark.parametrize("vector", NON_NUMBER_VECTORS)
+def test_tracks_embedding_values_must_be_json_numbers(tmp_path, vector):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"][5] = vector
+    if all(type(v) is bool for v in vector):
+        doc["tracks"][0]["embeddings"] = [vector] * 8  # a mix reads as floats
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad tracks document: track 'amy': "
+                                         "embeddings must hold only JSON numbers$"):
+        read_tracks(path)
+
+
+def test_tracks_integer_embedding_values_load_as_floats(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"][0]["embeddings"] = [[0] * i + [3, 4] + [0] * (DIM - 2 - i)
+                                      for i in range(7)] + [[10 ** 30] + [0] * (DIM - 1)]
+    doc["tracks"][0]["frames"] = list(range(8))
+    path.write_text(json.dumps(doc))
+    [track] = read_tracks(path)
+    got = np.array([vec for _, vec in track.samples])
+    assert got.dtype == np.float64
+    assert np.array_equal(got[:7], [[0.0] * i + [0.6, 0.8] + [0.0] * (DIM - 2 - i)
+                                    for i in range(7)])
+    assert np.array_equal(got[7], unit(0))
+
+
+@pytest.mark.parametrize("vector", NON_NUMBER_VECTORS)
+def test_gallery_prototype_values_must_be_json_numbers(tmp_path, vector):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["prototypes"][1] = vector
+    if all(type(v) is bool for v in vector):
+        doc["entries"][1]["prototypes"][0] = vector  # a mix reads as floats
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad gallery document: entry 'bob': "
+                                         "prototypes must hold only JSON numbers$"):
+        read_gallery(path)
 
 
 def test_tracks_non_finite_embedding_rejected(tmp_path):

@@ -13,7 +13,10 @@ time (nearest rank), and for each garbage-collector generation the number of
 collections during the pass and their total pause, taken from
 ``gc.callbacks``. The scenario is generated in float64 and never written, so
 the embeddings are not the float32 values a `track` job reads back; the
-decisions and timings are those of the in-memory tracker.
+decisions and timings are those of the in-memory tracker. The last line
+gives the scenario's detection count and the process's peak RSS
+(``ru_maxrss``) after generating it and after the passes: the generated
+stream is held in memory throughout, so this is its footprint.
 
 OpenBLAS, OpenMP and MKL run on one thread unless the environment already
 says otherwise.
@@ -25,6 +28,7 @@ import argparse
 import gc
 import math
 import os
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -85,11 +89,16 @@ def timed_pass(frames, index, cfg, frame_area):
     return state, seconds, log
 
 
-def setup(scenario, k):
-    """(test frames, GalleryIndex, TrackerConfig, frame area) of a scenario."""
-    spec = synth.load_scenario(scenario)
-    tracks, test = synth.split_train_test(
-        synth.generate(spec), synth.default_train_seconds(spec))
+def peak_rss_mb():
+    """This process's peak resident set size so far, in MB (Linux counts
+    ru_maxrss in kilobytes)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def setup(stream, train_seconds, k):
+    """(test frames, GalleryIndex, TrackerConfig, frame area) of a generated
+    scenario."""
+    tracks, test = synth.split_train_test(stream, train_seconds)
     index = GalleryIndex(build_gallery_kmeans(tracks, k=k, seed=0))
     return test.frames, index, tracker.TrackerConfig(fps=test.fps), test.frame_area
 
@@ -115,7 +124,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
-    frames, index, cfg, frame_area = setup(args.scenario, args.k)
+    spec = synth.load_scenario(args.scenario)
+    stream = synth.generate(spec)
+    detections = sum(len(dets) for _, dets in stream.frames)
+    generated_mb = peak_rss_mb()
+    frames, index, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
+    del stream  # the passes hold the test frames and the gallery only
     passes = []
     for _ in range(args.passes):
         state, seconds, log = timed_pass(frames, index, cfg, frame_area)
@@ -124,6 +138,8 @@ def main(argv=None):
     print(f"{len(frames)} frames: a {cfg.window_frames()}-frame initial window, then "
           f"one step per frame; {state.classify_calls} classified per pass")
     print(table(passes))
+    print(f"{detections} detections in the scenario; peak RSS {generated_mb:.1f} MB "
+          f"after generate, {peak_rss_mb():.1f} MB after the passes")
     return 0
 
 
