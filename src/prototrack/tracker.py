@@ -9,6 +9,10 @@ classification and promoted once their appearance ratio clears the bar.
 
 Per frame the order of business is:
 
+0. in the initial window (the first init_window_seconds), steps 1-5 run
+   from empty pools with promotion held off: no match promotes and every
+   new label starts inactive; after the window's last frame, everyone
+   whose appearance ratio reaches promote_ratio is promoted at once;
 1. every tracked identity ages by one processed frame;
 2. detections overlapping an active identity's last box (IoU at or above
    the reuse threshold, greedy highest-overlap first, ties to the lower
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +100,9 @@ class TrackerConfig:
             raise ValueError(f"fps must be positive and finite: {self.fps}")
         if not 0 < self.init_window_seconds < math.inf:
             raise ValueError("init_window_seconds must be positive and finite")
+        if not self.init_window_seconds * self.fps <= sys.maxsize:
+            raise ValueError("init_window_seconds * fps must be at most sys.maxsize "
+                             f"frames: {self.init_window_seconds} * {self.fps}")
         if self.cap < 1:
             raise ValueError(f"cap must be positive: {self.cap}")
         if not 0 < self.min_appearances <= self.cap:
@@ -189,6 +197,8 @@ def _overlap_candidates(kept, active, reuse_iou):
     a pair whose edges show it disjoint is skipped before any arithmetic:
     each such test implies iw <= 0 or ih <= 0 below.
     """
+    if not active:  # as in every initial-window frame: no edges to compute
+        return []
     tracks = [(label, *e) for label, e in zip(
         active, _edges([face.last_box for face in active.values()]))]
     candidates = []
@@ -237,49 +247,32 @@ def _resolve_frame(detected, placeholders):
     return tuple(out)
 
 
+def _promote(state, face, cfg):
+    """Move face from the inactive to the active pool, counter at the cap."""
+    del state.inactive[face.label]
+    face.continuous_appearances = cfg.cap
+    state.active[face.label] = face
+
+
 def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
     """Bootstrap tracker state from the opening seconds of a stream.
 
-    Every area-accepted detection in the window is classified; identities
-    whose appearance ratio over the window reaches promote_ratio start in
-    the active pool with a full confidence counter, the rest start inactive.
-    The window's own FrameResults are included in the returned state.
-    gallery is a GalleryIndex, or None to match against an empty gallery.
+    Each frame is a step() from empty pools with promotion held off: every
+    kept detection is classified and every new label starts inactive. After
+    the last frame, identities whose appearance ratio reaches promote_ratio
+    move to the active pool with a full confidence counter. The window's own
+    FrameResults are included in the returned state. gallery is a
+    GalleryIndex, or None to match against an empty gallery.
     """
     frames = list(frames)
     if not frames:
         raise EmptyStream("no frames in the initial window")
     state = TrackerState(frame_cursor=frames[0][0] - 1)
-    faces = {}  # label -> TrackedFace, in first-seen order
-    for i, (frame_index, detections) in enumerate(frames):
-        _advance(state, frame_index)
-        kept = _kept(detections, frame_area, cfg.recognizer)
-        labels, distances = _classify_batch(state, gallery, kept, cfg)
-        entries = _resolve_frame([
-            FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
-            for d, label, distance in zip(kept, labels, distances)
-        ], [])
-        present = set()
-        for e in entries:
-            if e.label == UNKNOWN:
-                continue
-            present.add(e.label)
-            face = faces.get(e.label)
-            if face is None:
-                # processed frames run from first sight to the window's end
-                face = faces[e.label] = TrackedFace(
-                    e.label, e.box, 0, len(frames) - i, 0, e.distance)
-            _observe(face, e.box, e.distance, cfg)
-        for label, face in faces.items():
-            if label not in present:
-                _miss(face)
-        state.results.append(FrameResult(frame_index, entries))
-    for label, face in faces.items():
-        if face.appearance_ratio >= cfg.promote_ratio:
-            face.continuous_appearances = cfg.cap
-            state.active[label] = face
-        else:
-            state.inactive[label] = face
+    for frame_index, detections in frames:
+        _step(state, frame_index, detections, gallery, cfg, frame_area, window=True)
+    for face in [f for f in state.inactive.values()
+                 if f.appearance_ratio >= cfg.promote_ratio]:
+        _promote(state, face, cfg)
     return state
 
 
@@ -289,6 +282,12 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
 
     gallery is a GalleryIndex, or None to match against an empty gallery.
     """
+    return _step(state, frame_index, detections, gallery, cfg, frame_area, window=False)
+
+
+def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
+    """step()'s body. With window set, a match never promotes and a new
+    label always starts inactive: run_initial_window promotes at its end."""
     _advance(state, frame_index)
     kept = _kept(detections, frame_area, cfg.recognizer)
 
@@ -326,19 +325,14 @@ def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConf
         if label in state.inactive:
             face = state.inactive[label]
             _observe(face, box, distance, cfg)
-            if face.appearance_ratio >= cfg.promote_ratio:
-                del state.inactive[label]
-                face.continuous_appearances = cfg.cap
-                state.active[label] = face
+            if not window and face.appearance_ratio >= cfg.promote_ratio:
+                _promote(state, face, cfg)
                 promoted.add(label)
         else:
-            face = TrackedFace(label, box, 1, 1, 1, distance)
-            if cfg.new_face_policy == NEW_FACE_ACTIVE:
-                face.continuous_appearances = cfg.cap
-                state.active[label] = face
+            face = state.inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
+            if not window and cfg.new_face_policy == NEW_FACE_ACTIVE:
+                _promote(state, face, cfg)
                 promoted.add(label)
-            else:
-                state.inactive[label] = face
 
     # 4a. active identities with no overlap match lose confidence and are
     # bridged as occluded while the counter holds, demoted otherwise

@@ -109,6 +109,28 @@ def test_bad_area_threshold_exits_1(demo, tmp_path, capsys, flags):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("init_window, fps", [
+    ("1e308", None),  # the window's frame count overflows to inf
+    ("1e300", None),  # finite, but past sys.maxsize frames
+    (None, 1e308),  # the stream header's fps times the default 2 s
+])
+def test_oversized_window_exits_1_without_traceback(demo, tmp_path, capsys,
+                                                    init_window, fps):
+    stream = demo / "stream.jsonl"
+    if fps is not None:
+        stream = tmp_path / "fast.jsonl"
+        for head in edited_copy(demo / "stream.jsonl", stream, 1):
+            head["fps"] = fps
+    flags = ("--init-window", init_window) if init_window else ()
+    code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
+                   "--out", tmp_path / "out.jsonl", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("prototrack track: init_window_seconds * fps must be at most")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_malformed_input_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("definitely not json\n")

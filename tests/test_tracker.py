@@ -4,6 +4,8 @@ Scripted streams use 8-dimensional one-hot embeddings so every distance is
 exactly 0, 0.5, or 1 and the expected behavior can be stated by hand.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from prototrack.tracker import (
     TrackedFace,
     TrackerConfig,
     TrackerState,
+    _advance,
+    _classify_batch,
+    _kept,
+    _miss,
+    _observe,
     _overlap_candidates,
+    _resolve_frame,
     run,
     run_initial_window,
     step,
@@ -28,6 +36,8 @@ from prototrack.types import (
     UNKNOWN,
     BoundingBox,
     Detection,
+    FrameEntry,
+    FrameResult,
     iou,
 )
 
@@ -106,6 +116,16 @@ def test_config_validation():
         cfg(reuse_iou=1.5)
     with pytest.raises(ValueError):
         cfg(new_face_policy="maybe")
+
+
+def test_config_rejects_a_window_past_sys_maxsize_frames():
+    for seconds, fps in ((1e308, 30.0), (1e300, 30.0), (2.0, 1e308),
+                         (float(sys.maxsize), 2.0)):
+        with pytest.raises(ValueError, match=r"init_window_seconds \* fps"):
+            TrackerConfig(fps=fps, init_window_seconds=seconds)
+    # the largest float at or below sys.maxsize still fits islice's stop
+    edge = TrackerConfig(fps=1.0, init_window_seconds=float(2 ** 63 - 1024))
+    assert edge.window_frames() == 2 ** 63 - 1024 <= sys.maxsize
 
 
 def test_window_frame_count_rounds_up():
@@ -598,3 +618,151 @@ def test_state_defaults():
     assert state.frame_cursor == -1
     assert state.classify_calls == 0
     assert state.results == []
+
+
+# ---------------------------------------------------------------------------
+# the initial window against its former, separate bookkeeping
+
+
+def reference_run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
+    """run_initial_window as it was before it became a run of window steps:
+    its own classify / resolve / observe / miss loop over a private faces
+    dict, kept verbatim as the reference for the differential test."""
+    frames = list(frames)
+    if not frames:
+        raise EmptyStream("no frames in the initial window")
+    state = TrackerState(frame_cursor=frames[0][0] - 1)
+    faces = {}  # label -> TrackedFace, in first-seen order
+    for i, (frame_index, detections) in enumerate(frames):
+        _advance(state, frame_index)
+        kept = _kept(detections, frame_area, cfg.recognizer)
+        labels, distances = _classify_batch(state, gallery, kept, cfg)
+        entries = _resolve_frame([
+            FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
+            for d, label, distance in zip(kept, labels, distances)
+        ], [])
+        present = set()
+        for e in entries:
+            if e.label == UNKNOWN:
+                continue
+            present.add(e.label)
+            face = faces.get(e.label)
+            if face is None:
+                # processed frames run from first sight to the window's end
+                face = faces[e.label] = TrackedFace(
+                    e.label, e.box, 0, len(frames) - i, 0, e.distance)
+            _observe(face, e.box, e.distance, cfg)
+        for label, face in faces.items():
+            if label not in present:
+                _miss(face)
+        state.results.append(FrameResult(frame_index, entries))
+    for label, face in faces.items():
+        if face.appearance_ratio >= cfg.promote_ratio:
+            face.continuous_appearances = cfg.cap
+            state.active[label] = face
+        else:
+            state.inactive[label] = face
+    return state
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def random_case(rng, policy):
+    """(frames, window length, GalleryIndex or None, config, frame area).
+
+    Up to five people, each present in a random share of frames with a
+    jittered box and a noisy embedding, sometimes twice in one frame, plus
+    strangers. The last person may be missing from the gallery, and one
+    case in eight has no gallery at all. The area filter is off, absolute
+    or fractional, and the stream may start past frame 0.
+    """
+    people = int(rng.integers(1, 6))
+    centres = [unit(rng.normal(size=DIM)) for _ in range(people)]
+    enrolled = people if rng.random() < 0.7 else people - 1
+    index = None
+    if enrolled and rng.random() >= 0.125:
+        index = GalleryIndex(Gallery(entries={
+            f"p{i}": [Prototype(unit(centres[i] + 0.2 * rng.normal(size=DIM)), 0)
+                      for _ in range(int(rng.integers(1, 4)))]
+            for i in range(enrolled)}))
+    presence = rng.uniform(0.05, 1.0, people)
+    places = [(rng.uniform(0, 1700), rng.uniform(0, 900), rng.uniform(40, 120))
+              for _ in range(people)]
+    sigma = rng.uniform(0.1, 0.6)
+    start = int(rng.integers(0, 1000)) if rng.random() < 0.5 else 0
+    window = int(rng.integers(1, 61))
+    frames = []
+    for f in range(start, start + window + int(rng.integers(0, 41))):
+        dets = []
+        for i in range(people):
+            for _ in range(1 + (rng.random() < 0.1)):
+                if rng.random() < presence[i]:
+                    x, y, side = places[i]
+                    side *= rng.uniform(0.9, 1.1)
+                    box = BoundingBox(x + 5 * rng.normal(), y + 5 * rng.normal(), side, side)
+                    dets.append(det(f, box, unit(centres[i] + sigma * rng.normal(size=DIM))))
+        if rng.random() < 0.2:
+            dets.append(det(f, BoundingBox(*rng.uniform(0, 1700, 2), 80, 80),
+                            unit(rng.normal(size=DIM))))
+        frames.append((f, dets))
+    area = int(rng.integers(0, 3))
+    recognizer = RecognizerConfig(
+        unknown_threshold=float(rng.choice([0.3, 0.6, 1.0])),
+        min_area=4000.0 if area == 1 else 0.0,
+        min_area_fraction=0.002 if area == 2 else 0.0)
+    cap = int(rng.integers(1, 11))
+    config = cfg(new_face_policy=policy, cap=cap,
+                 min_appearances=int(rng.integers(1, cap + 1)),
+                 promote_ratio=float(rng.choice([0.2, 0.5, 0.8, 1.0])),
+                 reuse_iou=float(rng.choice([0.3, 0.5])), recognizer=recognizer)
+    frame_area = 1920 * 1080 if area == 2 or rng.random() < 0.5 else None
+    return frames, window, index, config, frame_area
+
+
+def assert_same_state(got, want):
+    assert got.results == want.results
+    assert got.classify_calls == want.classify_calls
+    assert got.frame_cursor == want.frame_cursor
+    # Pools compare as dicts, which ignore insertion order. The orders can
+    # differ: the reference inserts a label at its winning detection,
+    # step() at the label's first claim. No reader depends on it: step()
+    # walks sorted(state.active) and fully sorted overlap candidates.
+    assert got.active == want.active
+    assert got.inactive == want.inactive
+
+
+@pytest.mark.parametrize("policy", [tracker.NEW_FACE_INACTIVE, NEW_FACE_ACTIVE])
+def test_window_steps_match_the_former_window(policy):
+    rng = np.random.default_rng(1103 if policy == NEW_FACE_ACTIVE else 1109)
+    seen = {"active": 0, "inactive": 0, "unknown": 0, "no gallery": 0, "tail": 0}
+    for _ in range(200):
+        frames, window, index, config, frame_area = random_case(rng, policy)
+        want = reference_run_initial_window(frames[:window], index, config, frame_area)
+        got = run_initial_window(frames[:window], index, config, frame_area)
+        assert_same_state(got, want)
+        for frame_index, detections in frames[window:]:
+            step(want, frame_index, detections, index, config, frame_area)
+            step(got, frame_index, detections, index, config, frame_area)
+        assert_same_state(got, want)
+        seen["active"] += bool(got.active)
+        seen["inactive"] += bool(got.inactive)
+        seen["unknown"] += any(UNKNOWN in r.labels() for r in got.results)
+        seen["no gallery"] += index is None
+        seen["tail"] += len(frames) > window
+    assert all(seen.values()), seen
+
+
+def test_window_holds_the_active_policy_until_its_end():
+    # seen only in window frame 0 of 60: a step() would admit alice straight
+    # to the active pool under this policy, but the window leaves her
+    # inactive at a ratio of 1/60
+    config = cfg(new_face_policy=NEW_FACE_ACTIVE)
+    frames = [(0, [det(0, BOX_A, ALICE)])] + [(f, []) for f in range(1, 60)]
+    for window in (run_initial_window, reference_run_initial_window):
+        state = window(frames, gallery(), config)
+        assert not state.active and set(state.inactive) == {"alice"}
+        face = state.inactive["alice"]
+        assert (face.total_appearances, face.total_frames_processed,
+                face.continuous_appearances) == (1, 60, 0)

@@ -7,10 +7,11 @@ checkout's ``src``: the scenario is generated and split as `prototrack gen`
 splits it, a k-means gallery is built from its training tracks as
 `prototrack gallery` builds it (``--k`` per person, seed 0), and then
 `tracker.run` tracks the test frames ``--passes`` times with the `track`
-defaults. Each pass starts after a full collection. Every `step()` call is
-timed; the table gives, per pass, the number of steps, the p50 and p99 step
-time (nearest rank), and for each garbage-collector generation the number of
-collections during the pass and their total pause, taken from
+defaults. Each pass starts after a full collection. The
+`run_initial_window()` call and every `step()` call are timed; the table
+gives, per pass, the initial window's time, the number of steps, the p50 and
+p99 step time (nearest rank), and for each garbage-collector generation the
+number of collections during the pass and their total pause, taken from
 ``gc.callbacks``. The scenario is generated in float64 and never written, so
 the embeddings are not the float32 values a `track` job reads back; the
 decisions and timings are those of the in-memory tracker. The last line
@@ -66,27 +67,33 @@ def percentile(values, q):
     return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
 
 
-def timed_pass(frames, index, cfg, frame_area):
-    """One tracker.run over `frames`: (state, step seconds, GcLog)."""
-    step = tracker.step
-    seconds = []
-
-    def timed_step(*args):
+def timed(fn, seconds):
+    """fn, appending the time of each call to `seconds`."""
+    def wrapper(*args):
         t0 = perf_counter()
-        state = step(*args)
+        result = fn(*args)
         seconds.append(perf_counter() - t0)
-        return state
+        return result
+    return wrapper
 
+
+def timed_pass(frames, index, cfg, frame_area):
+    """One tracker.run over `frames`: (state, window seconds, step seconds,
+    GcLog)."""
+    window, step = tracker.run_initial_window, tracker.step
+    window_seconds, seconds = [], []
     log = GcLog()
     gc.collect()
-    tracker.step = timed_step
+    tracker.run_initial_window = timed(window, window_seconds)
+    tracker.step = timed(step, seconds)
     gc.callbacks.append(log)
     try:
         state = tracker.run(frames, index, cfg, frame_area)
     finally:
         gc.callbacks.remove(log)
-        tracker.step = step
-    return state, seconds, log
+        tracker.run_initial_window, tracker.step = window, step
+    (window_s,) = window_seconds
+    return state, window_s, seconds, log
 
 
 def peak_rss_mb():
@@ -104,12 +111,13 @@ def setup(stream, train_seconds, k):
 
 
 def table(passes):
-    """One row per pass of (steps, GcLog)."""
-    head = f"{'pass':<5}{'steps':>7}{'p50_us':>9}{'p99_us':>9}" + "".join(
+    """One row per pass of (window seconds, step seconds, GcLog)."""
+    head = f"{'pass':<5}{'window_us':>11}{'steps':>7}{'p50_us':>9}{'p99_us':>9}" + "".join(
         f"{f'gc{g}':>6}{f'gc{g}_ms':>9}" for g in GENERATIONS)
     lines = [head]
-    for i, (seconds, log) in enumerate(passes):
-        lines.append(f"{i:<5}{len(seconds):>7}{percentile(seconds, 50) * 1e6:>9.1f}"
+    for i, (window_s, seconds, log) in enumerate(passes):
+        lines.append(f"{i:<5}{window_s * 1e6:>11.1f}{len(seconds):>7}"
+                     f"{percentile(seconds, 50) * 1e6:>9.1f}"
                      f"{percentile(seconds, 99) * 1e6:>9.1f}" + "".join(
                          f"{log.count[g]:>6}{log.pause[g] * 1e3:>9.3f}"
                          for g in GENERATIONS))
@@ -132,8 +140,8 @@ def main(argv=None):
     del stream  # the passes hold the test frames and the gallery only
     passes = []
     for _ in range(args.passes):
-        state, seconds, log = timed_pass(frames, index, cfg, frame_area)
-        passes.append((seconds, log))
+        state, *timings = timed_pass(frames, index, cfg, frame_area)
+        passes.append(timings)
     print(f"scenario: {args.scenario}")
     print(f"{len(frames)} frames: a {cfg.window_frames()}-frame initial window, then "
           f"one step per frame; {state.classify_calls} classified per pass")
