@@ -10,6 +10,7 @@ files, infeasible scenarios, I/O errors).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import PipelineError
@@ -45,7 +46,7 @@ from .synth import (
     load_scenario,
     split_train_test,
 )
-from .tracker import TrackerConfig, run as run_tracker
+from .tracker import NEW_FACE_POLICIES, TrackerConfig, run as run_tracker
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -70,21 +71,14 @@ def _int_list(text):
     return values
 
 
-def _add_recognizer_args(p):
-    p.add_argument("--unknown-threshold", type=float, default=0.6,
-                   help="distance above which a face is labeled Unknown")
-    p.add_argument("--min-area", type=float, default=0.0,
-                   help="drop detections smaller than this many square pixels")
-    p.add_argument("--min-area-fraction", type=float, default=0.0,
-                   help="drop detections smaller than this fraction of the frame")
+def _config(cls, args, **fixed):
+    """A cls config from the flags given on the command line, plus `fixed`.
 
-
-def _recognizer_config(args) -> RecognizerConfig:
-    return RecognizerConfig(
-        unknown_threshold=args.unknown_threshold,
-        min_area=args.min_area,
-        min_area_fraction=args.min_area_fraction,
-    )
+    Each tracker and recognizer flag has its config field as dest and no
+    default, so a flag left out (None) takes the class default.
+    """
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in given.items() if v is not None}, **fixed)
 
 
 def build_parser() -> _Parser:
@@ -117,18 +111,21 @@ def build_parser() -> _Parser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--out", required=True, help="frame results (JSONL)")
     p.add_argument("--summary", default=None, help="optional per-label CSV")
-    _add_recognizer_args(p)
-    p.add_argument("--init-window", type=float, default=2.0,
-                   help="initial enrollment window, seconds")
-    p.add_argument("--cap", type=int, default=10,
-                   help="continuous-appearance counter ceiling")
-    p.add_argument("--min-appearances", type=int, default=5,
+    p.add_argument("--unknown-threshold", type=float,
+                   help="distance above which a face is labeled Unknown")
+    p.add_argument("--min-area", type=float,
+                   help="drop detections smaller than this many square pixels")
+    p.add_argument("--min-area-fraction", type=float,
+                   help="drop detections smaller than this fraction of the frame")
+    p.add_argument("--init-window", type=float, dest="init_window_seconds",
+                   metavar="INIT_WINDOW", help="initial enrollment window, seconds")
+    p.add_argument("--cap", type=int, help="continuous-appearance counter ceiling")
+    p.add_argument("--min-appearances", type=int,
                    help="counter floor below which an occluded face is dropped")
-    p.add_argument("--promote-ratio", type=float, default=0.5)
-    p.add_argument("--reuse-iou", type=float, default=0.5,
+    p.add_argument("--promote-ratio", type=float)
+    p.add_argument("--reuse-iou", type=float,
                    help="overlap needed to reuse a label without classifying")
-    p.add_argument("--new-face-policy", choices=["inactive", "active"],
-                   default="inactive")
+    p.add_argument("--new-face-policy", choices=NEW_FACE_POLICIES)
 
     p = sub.add_parser("baseline",
                        help="per-frame exhaustive classification, no tracking")
@@ -136,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tracks", required=True, help="training tracks (JSON)")
     p.add_argument("--out", required=True, help="frame results (JSONL)")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--unknown-threshold", type=float, default=0.6)
+    p.add_argument("--unknown-threshold", type=float)
 
     p = sub.add_parser("score", help="score results against ground truth")
     p.add_argument("--results", required=True)
@@ -155,7 +152,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out", required=True, help="sweep CSV")
     p.add_argument("--pareto", default=None, help="optional Pareto-front CSV")
-    p.add_argument("--unknown-threshold", type=float, default=0.6)
+    p.add_argument("--unknown-threshold", type=float)
 
     return parser
 
@@ -193,16 +190,8 @@ def _cmd_gallery(args) -> int:
 def _cmd_track(args) -> int:
     header, frames = iter_stream(args.stream)
     gallery = read_gallery(args.gallery)
-    cfg = TrackerConfig(
-        fps=header.fps,
-        init_window_seconds=args.init_window,
-        cap=args.cap,
-        min_appearances=args.min_appearances,
-        promote_ratio=args.promote_ratio,
-        reuse_iou=args.reuse_iou,
-        new_face_policy=args.new_face_policy,
-        recognizer=_recognizer_config(args),
-    )
+    cfg = _config(TrackerConfig, args, fps=header.fps,
+                  recognizer=_config(RecognizerConfig, args))
     state = run_tracker(frames, gallery, cfg, frame_area=header.frame_area)
     write_results(state.results, args.out)
     if args.summary:
@@ -215,7 +204,7 @@ def _cmd_track(args) -> int:
 def _cmd_baseline(args) -> int:
     _, frames = read_stream(args.stream)
     tracks = read_tracks(args.tracks)
-    cfg = RecognizerConfig(unknown_threshold=args.unknown_threshold)
+    cfg = _config(RecognizerConfig, args)
     results, timing = run_baseline(frames, tracks, cfg, reps=args.reps)
     write_results(results, args.out)
     print(f"baseline over {timing.frames} frames: "
@@ -244,9 +233,8 @@ def _cmd_sweep(args) -> int:
     tracks = read_tracks(args.tracks)
     truth = read_truth(args.truth)
     truth.frames = frames
-    cfg = TrackerConfig(fps=truth.fps,
-                        recognizer=RecognizerConfig(
-                            unknown_threshold=args.unknown_threshold))
+    cfg = _config(TrackerConfig, args, fps=truth.fps,
+                  recognizer=_config(RecognizerConfig, args))
     points = sweep(truth, tracks, args.k, seed=args.seed, cfg=cfg,
                    reps=args.reps)
     write_sweep_csv(points, args.out)

@@ -9,6 +9,7 @@ Both are deterministic for a fixed seed and input.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -259,23 +260,31 @@ def build_gallery_sampling(tracks):
     Boundary frames are first + ceil(j * fps) for j = 0, 1, 2, ... up to the
     last sample frame; sparse tracks that map several boundaries onto the
     same sample keep it once. Every track yields at least one prototype.
+    After each pick the boundaries that map onto it are skipped in one jump,
+    so the work is bounded by the number of samples, whatever the fps.
     """
     tracks = _checked_tracks(tracks)
     entries = {}
     for track in tracks:
         frames = [f for f, _ in track.samples]
-        first, last = frames[0], frames[-1]
+        first, last, fps = frames[0], frames[-1], track.fps
+
+        def boundary(j):
+            # j is a whole-number float, the only distinct values an int j
+            # takes in j * fps; every boundary past the last frame acts alike
+            return first + math.ceil(min(j * fps, last + 1 - first))
+
         picked = []
-        seen = set()
-        j = 0
-        while True:
-            boundary = first + math.ceil(j * track.fps)
-            if boundary > last:
-                break
-            idx = bisect_left(frames, boundary)
-            if idx < len(frames) and idx not in seen:
-                seen.add(idx)
-                picked.append(idx)
-            j += 1
+        j = 0.0
+        while boundary(j) <= last:
+            i = bisect_left(frames, boundary(j))
+            picked.append(i)
+            # the first j whose boundary lies past frames[i]: a guess by
+            # division, lowered past its rounding error so that it cannot
+            # overshoot, then settled with the boundary expression itself
+            guess = min((frames[i] - first) / fps, sys.float_info.max)
+            j = float(math.floor(guess * (1 - 2 ** -50)))
+            while boundary(j) <= frames[i]:
+                j = max(j + 1, math.nextafter(j, math.inf))  # the next whole float
         entries[track.label] = _prototypes(track, picked)
     return Gallery(entries=entries, method=METHOD_SAMPLING, k=None, seed=None)

@@ -18,7 +18,7 @@ centers and unit-normalized in place, bit for bit as before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -91,6 +91,9 @@ class ScenarioSpec:
             raise ValueError("participants must be positive")
         if not (0 < self.duration_seconds < math.inf and 0 < self.fps < math.inf):
             raise ValueError("duration and fps must be positive and finite")
+        if not self.duration_seconds * self.fps < math.inf:
+            raise ValueError("duration_seconds * fps must be finite: "
+                             f"{self.duration_seconds} * {self.fps}")
         if self.pose_clusters_per_participant < 1:
             raise ValueError("pose_clusters_per_participant must be positive")
         if self.embedding_dim < 2:
@@ -118,7 +121,7 @@ class GroundTruthStream:
     frames holds (frame index, [Detection...]) with gt_label set on every
     participant detection (background faces carry None). presence maps each
     frame to the labels truly in the scene — including occluded ones, which
-    have no detection. tracks is filled by split_train_test.
+    have no detection.
     """
 
     fps: float
@@ -127,7 +130,6 @@ class GroundTruthStream:
     embedding_dim: int
     frames: list
     presence: dict
-    tracks: list = field(default_factory=list)
     missing_in_training: tuple = ()
 
     @property
@@ -347,8 +349,9 @@ def split_train_test(stream: GroundTruthStream, train_seconds):
     leaves either side empty raises InvalidSplit. Participants absent from
     the prefix are reported via missing_in_training on the returned stream.
     """
-    if not math.isfinite(train_seconds):
-        raise InvalidSplit(f"train_seconds must be finite: {train_seconds}")
+    if not math.isfinite(train_seconds * stream.fps):
+        raise InvalidSplit("train_seconds * fps must be finite: "
+                           f"{train_seconds} * {stream.fps}")
     n_train = int(round(train_seconds * stream.fps))
     total = len(stream.frames)
     if not 0 < n_train < total:
@@ -374,7 +377,6 @@ def split_train_test(stream: GroundTruthStream, train_seconds):
         frames=suffix,
         presence={f: p for f, p in stream.presence.items()
                   if f >= suffix[0][0]},
-        tracks=tracks,
         missing_in_training=missing,
     )
     return tracks, test
@@ -389,28 +391,15 @@ def default_train_seconds(spec: ScenarioSpec) -> float:
 
 # ---------------------------------------------------------------------------
 # scenario config files: flat "key = value" lines, '#' comments, and one
-# "event = kind subject start [length]" line per scripted event
-
-
-_SCALAR_KEYS = {
-    "participants": int,
-    "duration_seconds": float,
-    "train_seconds": float,
-    "seed": int,
-    "pose_clusters_per_participant": int,
-    "embedding_dim": int,
-    "noise_sigma": float,
-    "fps": float,
-    "motion_sigma": float,
-    "frame_width": int,
-    "frame_height": int,
-}
-
-_REQUIRED_KEYS = ("participants", "duration_seconds", "seed")
+# "event = kind subject start [length]" line per scripted event. The other
+# keys are ScenarioSpec's fields: int fields are read with int, the rest with
+# float, and a field with no default is required.
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse a scenario config document into a ScenarioSpec."""
+    scalars = [f for f in fields(ScenarioSpec) if f.name != "events"]
+    readers = {f.name: int if f.type in (int, "int") else float for f in scalars}
     values = {}
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -437,16 +426,16 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 events.append(Event(kind, subject, start, length))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno)
-        elif key in _SCALAR_KEYS:
+        elif key in readers:
             try:
-                values[key] = _SCALAR_KEYS[key](value)
+                values[key] = readers[key](value)
             except ValueError:
                 raise ParseError(f"bad value for {key}: {value!r}", lineno)
         else:
             raise ParseError(f"unknown scenario key: {key!r}", lineno)
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ParseError(f"missing required scenario key: {key!r}")
+    for f in scalars:
+        if f.name not in values and f.default is MISSING:
+            raise ParseError(f"missing required scenario key: {f.name!r}")
     try:
         return ScenarioSpec(events=tuple(events), **values)
     except ValueError as exc:

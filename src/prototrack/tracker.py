@@ -55,6 +55,7 @@ from .types import (
 
 NEW_FACE_INACTIVE = "inactive"
 NEW_FACE_ACTIVE = "active"
+NEW_FACE_POLICIES = (NEW_FACE_INACTIVE, NEW_FACE_ACTIVE)
 
 # distance reported for detections matched against an empty gallery: the
 # ceiling of the cosine-distance range, i.e. "as far as possible"
@@ -112,7 +113,7 @@ class TrackerConfig:
             raise ValueError(f"promote_ratio must lie in (0, 1]: {self.promote_ratio}")
         if not 0 <= self.reuse_iou <= 1:
             raise ValueError(f"reuse_iou must lie in [0, 1]: {self.reuse_iou}")
-        if self.new_face_policy not in (NEW_FACE_INACTIVE, NEW_FACE_ACTIVE):
+        if self.new_face_policy not in NEW_FACE_POLICIES:
             raise ValueError(f"unknown new_face_policy: {self.new_face_policy!r}")
 
     def window_frames(self) -> int:

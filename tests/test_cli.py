@@ -2,6 +2,7 @@
 generate/gallery/track/score pipeline against committed expected output,
 sweeps, and byte-level determinism of every written file."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from prototrack import stream_io, tracker
-from prototrack.cli import main
+from prototrack import cli, stream_io, tracker
+from prototrack.cli import build_parser, main
+from prototrack.recognizer import RecognizerConfig
 from prototrack.stream_io import iter_stream, read_gallery, read_results, read_stream
 
 DATA = Path(__file__).parent / "data"
@@ -421,6 +423,24 @@ def test_non_finite_scenario_value_exits_2(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, flags", [
+    ("duration_seconds = 1e200\nfps = 1e200\n", ()),  # the spec's frame count
+    ("", ("--train-seconds", "1e308")),  # the split's training frame count
+    ("train_seconds = 1e308\n", ()),
+])
+def test_overflowing_frame_count_exits_2(tmp_path, capsys, lines, flags):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SCENARIO.read_text() + lines)
+    code = run_cli("gen", "--scenario", cfg,
+                   "--out-stream", tmp_path / "s.jsonl",
+                   "--out-tracks", tmp_path / "t.json",
+                   "--out-truth", tmp_path / "gt.json", *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "* fps must be finite" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
+
 def test_scenario_frame_size_below_one_exits_2(tmp_path, capsys):
     cfg = tmp_path / "flat.cfg"
     cfg.write_text(SCENARIO.read_text() + "frame_width = 0\n")
@@ -481,6 +501,26 @@ def test_gallery_sampling_method(demo, tmp_path):
     assert g.method == "sampling"
     # one prototype per elapsed second of the 6 s training prefix
     assert all(len(g.entries[l]) == 6 for l in g.labels)
+
+
+def test_gallery_sampling_tiny_fps_exits_0_quickly(demo, tmp_path):
+    # at 1e-9 fps every frame is a one-second boundary: the gallery keeps
+    # every sample, and the work is bounded by the samples, not the boundaries
+    tracks = tmp_path / "slow.json"
+    for doc in edited_copy(demo / "tracks.json", tracks, 1):
+        for track in doc["tracks"]:
+            track["fps"] = 1e-9
+    out = tmp_path / "sampled.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prototrack", "gallery", "--tracks", str(tracks),
+         "--out", str(out), "--method", "sampling"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    g = read_gallery(out)
+    assert {l: len(g.entries[l]) for l in g.labels} == \
+        {t.label: len(t.samples) for t in stream_io.read_tracks(tracks)}
 
 
 def test_baseline_command(demo, tmp_path):
@@ -610,3 +650,83 @@ def test_score_json_agrees_with_csv(demo):
     csv_rows = (demo / "score.csv").read_text().splitlines()[1:]
     average_row = [r for r in csv_rows if r.startswith("Average,")][0]
     assert float(average_row.split(",")[1]) == doc["average"]
+
+
+# ------------------------------------------------------------- settings
+# Each tracker and recognizer setting is named, typed and defaulted only in
+# its config class; the flags carry no default of their own.
+
+
+TRACK_REQUIRED = ("track", "--stream", "s.jsonl", "--gallery", "g.json", "--out", "o.jsonl")
+SETTINGS = {f.name: f.default for cls in (tracker.TrackerConfig, RecognizerConfig)
+            for f in dataclasses.fields(cls) if f.name not in ("fps", "recognizer")}
+
+
+def test_every_setting_has_a_track_flag_without_a_default():
+    args = vars(build_parser().parse_args(TRACK_REQUIRED))
+    assert {name: args.get(name, "no flag") for name in SETTINGS} == \
+        dict.fromkeys(SETTINGS)
+
+
+def test_readme_knobs_table_states_the_class_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Tracker knobs", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in (line for line in table.splitlines() if line.startswith("| `")):
+        flag_cell, default_cell = row.split("|")[1:3]
+        for flag in flag_cell.replace("`", "").split(","):
+            # the flag's own parser turns the README's default into its setting
+            args = vars(build_parser().parse_args(
+                (*TRACK_REQUIRED, flag.strip(), default_cell.split()[0])))
+            documented.update((name, args[name]) for name in SETTINGS
+                              if args[name] is not None)
+    assert documented == SETTINGS
+
+
+def configs_passed(monkeypatch, name, *argv):
+    """Run a CLI command; return the configs it handed to cli.<name>."""
+    seen = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        seen.extend(a for a in (*args, *kwargs.values())
+                    if isinstance(a, (tracker.TrackerConfig, RecognizerConfig)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run_cli(*argv) == 0
+    return seen
+
+
+def test_flags_left_out_take_the_class_defaults(demo, tmp_path, monkeypatch):
+    fps = read_stream(demo / "stream.jsonl")[0].fps
+    stream, tracks = demo / "stream.jsonl", demo / "tracks.json"
+    assert configs_passed(
+        monkeypatch, "run_tracker", "track", "--stream", stream,
+        "--gallery", demo / "gallery.json", "--out", tmp_path / "t.jsonl") == \
+        [tracker.TrackerConfig(fps=fps)]
+    assert configs_passed(
+        monkeypatch, "run_baseline", "baseline", "--stream", stream,
+        "--tracks", tracks, "--out", tmp_path / "b.jsonl") == [RecognizerConfig()]
+    assert configs_passed(
+        monkeypatch, "sweep", "sweep", "--stream", stream, "--tracks", tracks,
+        "--truth", demo / "truth.json", "--k", "1", "--out", tmp_path / "s.csv") == \
+        [tracker.TrackerConfig(fps=fps)]
+
+
+@pytest.mark.parametrize("area_flag, area", [
+    ("--min-area", {"min_area": 50.0}),
+    ("--min-area-fraction", {"min_area_fraction": 0.001}),
+])
+def test_track_flags_reach_their_settings(demo, tmp_path, monkeypatch, area_flag, area):
+    fps = read_stream(demo / "stream.jsonl")[0].fps
+    cfgs = configs_passed(
+        monkeypatch, "run_tracker", "track", "--stream", demo / "stream.jsonl",
+        "--gallery", demo / "gallery.json", "--out", tmp_path / "t.jsonl",
+        "--unknown-threshold", "0.7", area_flag, *area.values(),
+        "--init-window", "1.5", "--cap", "8", "--min-appearances", "3",
+        "--promote-ratio", "0.6", "--reuse-iou", "0.4", "--new-face-policy", "active")
+    assert cfgs == [tracker.TrackerConfig(
+        fps=fps, init_window_seconds=1.5, cap=8, min_appearances=3,
+        promote_ratio=0.6, reuse_iou=0.4, new_face_policy="active",
+        recognizer=RecognizerConfig(unknown_threshold=0.7, **area))]

@@ -7,6 +7,9 @@ nearest-point scan (for medoid snapping).
 
 import hashlib
 import itertools
+import math
+import time
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -385,3 +388,47 @@ def test_sampling_anchors_at_first_frame_and_skips_gaps():
     g = build_gallery_sampling([track])
     # boundaries 100, 130, 160: first samples at/after are 100, 131, 165
     assert [p.source_frame for p in g.entries["alice"]] == [100, 131, 165]
+
+
+def reference_sampling_frames(frames, fps):
+    """The sampling gallery's picks by the plain loop: visit every boundary
+    first + ceil(j * fps), j = 0, 1, 2, ..., up to the last frame."""
+    first, last = frames[0], frames[-1]
+    picked = []
+    j = 0
+    while first + math.ceil(j * fps) <= last:
+        idx = bisect_left(frames, first + math.ceil(j * fps))
+        if idx not in picked:
+            picked.append(idx)
+        j += 1
+    return [frames[i] for i in picked]
+
+
+def test_sampling_matches_the_boundary_by_boundary_loop():
+    rng = np.random.default_rng(61)
+    fps_values = [29.97, 0.5, 1.0, 1e-3, 59.94, 1 - 2 ** -52, 1 + 2 ** -52]
+    for trial in range(400):
+        fps = (fps_values[trial % len(fps_values)] if trial % 2
+               else float(rng.uniform(0.01, 100.0)))
+        n = int(rng.integers(1, 40))
+        start = int(rng.integers(0, 500))
+        span = min(int(rng.integers(n, 2000)), int(fps * 20_000) + n)
+        frames = sorted(int(f) for f in
+                        rng.choice(np.arange(start, start + span), n, replace=False))
+        track = make_track("alice", [[1.0, 0.0]] * n, frames=frames, fps=fps)
+        got = [p.source_frame for p in build_gallery_sampling([track]).entries["alice"]]
+        assert got == reference_sampling_frames(frames, fps), (fps, frames)
+
+
+@pytest.mark.parametrize("fps", [1e-9, 1e-300, 5e-324])
+def test_sampling_tiny_fps_ends_quickly(fps):
+    # below 1 fps every frame is a boundary, and the plain loop would visit
+    # (last - first) / fps of them; at 5e-324 no float j makes j * fps
+    # reach 1, so the boundaries are the first frame and the one after it
+    frames = list(range(0, 7200, 3))
+    track = make_track("alice", [[1.0, 0.0]] * len(frames), frames=frames, fps=fps)
+    start = time.perf_counter()
+    g = build_gallery_sampling([track])
+    assert time.perf_counter() - start < 5.0
+    assert [p.source_frame for p in g.entries["alice"]] == \
+        (frames if fps > 1e-308 else [0, 3])

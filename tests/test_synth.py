@@ -1,7 +1,9 @@
 """Synthetic benchmark generator: determinism, events, separability, splits."""
 
+import dataclasses
 import importlib.util
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,8 @@ def test_spec_validation():
         small_spec(frame_width=0)
     with pytest.raises(ValueError):
         small_spec(frame_height=-1080)
+    with pytest.raises(ValueError, match=r"duration_seconds \* fps must be finite"):
+        small_spec(duration_seconds=1e200, fps=1e200)
     with pytest.raises(ValueError):
         Event("teleport", "p01", 0)
     with pytest.raises(ValueError):
@@ -264,6 +268,9 @@ def test_split_rejects_degenerate_cuts():
         split_train_test(stream, 0.0)
     with pytest.raises(InvalidSplit):
         split_train_test(stream, 99.0)
+    for train_seconds in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(InvalidSplit, match=r"train_seconds \* fps must be finite"):
+            split_train_test(stream, train_seconds)
 
 
 def test_split_reports_participant_missing_from_training():
@@ -319,3 +326,22 @@ def test_parse_scenario_errors_carry_line_numbers():
 def test_parse_scenario_requires_core_keys():
     with pytest.raises(ParseError):
         parse_scenario("participants = 2\nduration_seconds = 4\n")
+
+
+def test_every_spec_field_is_a_scenario_key_read_with_its_type():
+    base = "participants = 2\nduration_seconds = 4\nseed = 5\n"
+    hints = typing.get_type_hints(ScenarioSpec)
+    for f in dataclasses.fields(ScenarioSpec):
+        if f.name == "events":
+            continue
+        value = getattr(parse_scenario(base + f"{f.name} = 3\n"), f.name)
+        assert value == 3
+        assert type(value) is (int if hints[f.name] is int else float), f.name
+        if hints[f.name] is int:
+            with pytest.raises(ParseError, match=f"bad value for {f.name}"):
+                parse_scenario(base + f"{f.name} = 3.5\n")
+        else:
+            assert getattr(parse_scenario(base + f"{f.name} = 3.5\n"), f.name) == 3.5
+        if f.default is dataclasses.MISSING:
+            with pytest.raises(ParseError, match=f"missing required scenario key: '{f.name}'"):
+                parse_scenario(base.replace(f"{f.name} = ", "# "))
