@@ -111,14 +111,13 @@ def _index_from_tracks(tracks) -> GalleryIndex:
 
 
 def _baseline_pass(frames, index, cfg: RecognizerConfig):
-    """One timed pass of per-frame exhaustive classification.
+    """One pass of per-frame exhaustive classification.
 
     Every detection is classified against every training embedding —
     no reuse, no identity pools, no occlusion bridging, no area filter,
-    and no duplicate-label arbitration. Returns (results, seconds_per_frame).
+    and no duplicate-label arbitration. Returns the FrameResults.
     """
     results = []
-    t0 = time.perf_counter()
     for frame_index, detections in frames:
         entries = ()
         if detections:
@@ -128,8 +127,26 @@ def _baseline_pass(frames, index, cfg: RecognizerConfig):
                 FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
                 for d, label, distance in zip(detections, labels, distances.tolist()))
         results.append(FrameResult(frame_index, entries))
-    elapsed = time.perf_counter() - t0
-    return results, elapsed / max(1, len(frames))
+    return results
+
+
+def _timed_passes(frames, reps, one_pass):
+    """Run one_pass(frames) `reps` times over the listed frames.
+
+    Returns (the first pass's results, TimingReport of the median seconds
+    per frame over the passes).
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be positive: {reps}")
+    frames = list(frames)
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        results = one_pass(frames)
+        times.append((time.perf_counter() - t0) / max(1, len(frames)))
+        if len(times) == 1:
+            first = results
+    return first, TimingReport(median(times), len(frames))
 
 
 def run_baseline(frames, tracks, cfg: RecognizerConfig, reps=3):
@@ -139,32 +156,16 @@ def run_baseline(frames, tracks, cfg: RecognizerConfig, reps=3):
     seconds-per-frame over `reps` identical passes (the results of every
     pass are identical by construction; the first is returned).
     """
-    if reps < 1:
-        raise ValueError(f"reps must be positive: {reps}")
-    frames = list(frames)
     index = _index_from_tracks(tracks)
-    results, first = _baseline_pass(frames, index, cfg)
-    times = [first]
-    for _ in range(reps - 1):
-        times.append(_baseline_pass(frames, index, cfg)[1])
-    return results, TimingReport(median(times), len(frames))
+    return _timed_passes(frames, reps,
+                         lambda frames: _baseline_pass(frames, index, cfg))
 
 
 def measure_tracker(frames, gallery, cfg: TrackerConfig, frame_area=None, reps=3):
     """Run the tracker `reps` times and report median seconds per frame."""
-    if reps < 1:
-        raise ValueError(f"reps must be positive: {reps}")
-    frames = list(frames)
     index = _as_index(gallery)
-    times = []
-    results = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        state = run(frames, index, cfg, frame_area)
-        times.append((time.perf_counter() - t0) / max(1, len(frames)))
-        if results is None:
-            results = state.results
-    return results, TimingReport(median(times), len(frames))
+    return _timed_passes(frames, reps,
+                         lambda frames: run(frames, index, cfg, frame_area).results)
 
 
 def with_speedup(ours: TimingReport, baseline: TimingReport) -> TimingReport:
@@ -194,29 +195,16 @@ def sweep(stream, tracks, k_values, seed, cfg: TrackerConfig, reps=3):
 def pareto_front(points):
     """Non-dominated subset for (maximize accuracy, minimize time).
 
-    A point survives iff no other point is at least as accurate and at most
-    as slow with one of the two strict. Exact duplicates keep only their
-    first occurrence; output is sorted by seconds_per_frame ascending.
+    The points are stably sorted by (seconds_per_frame, -accuracy), and one
+    sweep keeps each point that is more accurate than every point before it.
+    So a point survives iff no other point is at least as accurate and at
+    most as slow with one of the two strict; of exact duplicates the first
+    occurrence survives; the front is sorted by seconds_per_frame ascending.
+    Every field must be finite, as sweep's points are: with a NaN field the
+    sort order, and so the front, is undefined.
     """
-    unique = []
-    seen = set()
-    for p in points:
-        key = (p.accuracy, p.seconds_per_frame)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
     front = []
-    for p in unique:
-        dominated = False
-        for q in unique:
-            if q is p:
-                continue
-            if (q.accuracy >= p.accuracy
-                    and q.seconds_per_frame <= p.seconds_per_frame
-                    and (q.accuracy > p.accuracy
-                         or q.seconds_per_frame < p.seconds_per_frame)):
-                dominated = True
-                break
-        if not dominated:
+    for p in sorted(points, key=lambda p: (p.seconds_per_frame, -p.accuracy)):
+        if not front or p.accuracy > front[-1].accuracy:
             front.append(p)
-    return sorted(front, key=lambda p: (p.seconds_per_frame, p.accuracy, p.k))
+    return front

@@ -42,6 +42,8 @@ from .errors import (
 )
 from .floattext import canonical_float, float_arrays, float_text
 from .gallery import Gallery, Prototype, TrainingTrack
+from .synth import GroundTruthStream
+from .tracker import TrackerConfig
 from .types import (
     ENTRY_SOURCES,
     BoundingBox,
@@ -102,14 +104,18 @@ _NUMBER_TYPES = {int, float}
 
 
 def _numbers(key, value, n) -> list:
-    """A JSON array of exactly n JSON numbers (ints or floats, not bools or
-    strings), as floats. An integer past the float range is not finite."""
+    """A JSON array of exactly n finite JSON numbers (ints or floats, not
+    bools or strings), as floats. An integer past the float range is not
+    finite."""
     if type(value) is not list or len(value) != n or not {*map(type, value)} <= _NUMBER_TYPES:
         raise ValueError(f"{key} must be an array of {n} JSON numbers: {value!r}")
     try:
-        return list(map(float, value))
+        floats = list(map(float, value))
+        if all(map(math.isfinite, floats)):
+            return floats
     except OverflowError:
-        raise ValueError(f"{key} must be finite: {value!r}") from None
+        pass
+    raise ValueError(f"{key} must be finite: non-finite value in {value!r}")
 
 
 def _number(key, value) -> float:
@@ -162,8 +168,8 @@ class StreamHeader:
     version: int = STREAM_VERSION
 
     def __post_init__(self):
-        if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite: {self.fps}")
+        # an fps the tracker can run at with its default initial window
+        TrackerConfig(fps=self.fps)
         for key in ("frame_width", "frame_height", "embedding_dim"):
             _size(key, getattr(self, key))
 
@@ -216,16 +222,11 @@ def write_stream(path, header: StreamHeader, frames) -> None:
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
     try:
-        coords = _numbers("box", rec["box"], 4)
-        points = None
+        box = BoundingBox(*_numbers("box", rec["box"], 4))
+        landmarks = None
         if "landmarks" in rec:
-            points = tuple(tuple(_numbers("landmark point", p, 2))
-                           for p in rec["landmarks"])
-            coords += [v for p in points for v in p]
-        if not all(map(math.isfinite, coords)):
-            raise ValueError("non-finite box or landmark coordinate")
-        box = BoundingBox(*coords[:4])
-        landmarks = None if points is None else Landmarks(points)
+            landmarks = Landmarks(tuple(tuple(_numbers("landmark point", p, 2))
+                                        for p in rec["landmarks"]))
         emb = _float_array("embedding", rec["embedding"])
         gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -453,8 +454,6 @@ def write_truth(stream, path) -> None:
 
 def read_truth(path):
     """Read a truth file back into a detection-free GroundTruthStream."""
-    from .synth import GroundTruthStream
-
     doc = _read_document(path, "truth", TRUTH_VERSION)
     try:
         presence = doc["presence"]
@@ -511,9 +510,6 @@ def read_results(path):
                     )
                     for e in rec["entries"]
                 )
-                if not all(map(math.isfinite, [v for e in entries for v in (
-                        e.box.x, e.box.y, e.box.w, e.box.h, e.distance)])):
-                    raise ValueError("non-finite box or distance")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad result record: {exc}", lineno)
             out.append(FrameResult(frame_index, entries))

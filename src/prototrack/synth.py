@@ -18,6 +18,7 @@ centers and unit-normalized in place, bit for bit as before.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -91,9 +92,9 @@ class ScenarioSpec:
             raise ValueError("participants must be positive")
         if not (0 < self.duration_seconds < math.inf and 0 < self.fps < math.inf):
             raise ValueError("duration and fps must be positive and finite")
-        if not self.duration_seconds * self.fps < math.inf:
-            raise ValueError("duration_seconds * fps must be finite: "
-                             f"{self.duration_seconds} * {self.fps}")
+        if not self.duration_seconds * self.fps <= sys.maxsize:
+            raise ValueError("duration_seconds * fps must be finite and at most "
+                             f"sys.maxsize frames: {self.duration_seconds} * {self.fps}")
         if self.pose_clusters_per_participant < 1:
             raise ValueError("pose_clusters_per_participant must be positive")
         if self.embedding_dim < 2:

@@ -118,6 +118,9 @@ def test_bad_area_threshold_exits_1(demo, tmp_path, capsys, flags):
 ])
 def test_oversized_window_exits_1_without_traceback(demo, tmp_path, capsys,
                                                     init_window, fps):
+    """An oversized window from the --init-window flag is a usage error
+    (exit 1); from the stream header's fps, a bad input file (exit 2 and
+    line 1), like every other bad header value."""
     stream = demo / "stream.jsonl"
     if fps is not None:
         stream = tmp_path / "fast.jsonl"
@@ -126,10 +129,11 @@ def test_oversized_window_exits_1_without_traceback(demo, tmp_path, capsys,
     flags = ("--init-window", init_window) if init_window else ()
     code = run_cli("track", "--stream", stream, "--gallery", demo / "gallery.json",
                    "--out", tmp_path / "out.jsonl", *flags)
-    assert code == 1
+    assert code == (1 if fps is None else 2)
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith("prototrack track: init_window_seconds * fps must be at most")
+    where = "" if fps is None else "line 1: bad stream header: "
+    assert err.startswith(f"prototrack track: {where}init_window_seconds * fps must be at most")
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -172,7 +176,7 @@ def test_nan_stream_fps_exits_2(demo, tmp_path, capsys):
                    "--out", tmp_path / "out.jsonl")
     assert code == 2
     err = capsys.readouterr().err
-    assert "line 1" in err and "fps must be positive" in err
+    assert "line 1" in err and "fps must be finite" in err
 
 
 def test_stream_frame_gap_exits_2(demo, tmp_path, capsys):
@@ -387,6 +391,29 @@ BAD_INPUT_FILES = [
         id="gallery-prototype-bools"),
 ]
 
+# (subcommand, option, file, line, place, how the bad value goes in): each
+# place holds one number that the readers check for finiteness on its own
+NON_FINITE_PLACES = [
+    ("track", "--stream", "stream.jsonl", 3, "stream-box",
+     lambda rec, v: rec["detections"][0]["box"].__setitem__(2, v)),
+    ("track", "--stream", "stream.jsonl", 3, "stream-landmark-point",
+     lambda rec, v: rec["detections"][0]["landmarks"][1].__setitem__(0, v)),
+    ("track", "--stream", "stream.jsonl", 1, "stream-fps",
+     lambda doc, v: doc.update(fps=v)),
+    ("score", "--results", "results.jsonl", 2, "results-distance",
+     lambda rec, v: rec["entries"][0].update(distance=v)),
+    ("gallery", "--tracks", "tracks.json", 1, "tracks-fps",
+     lambda doc, v: doc["tracks"][0].update(fps=v)),
+]
+BAD_INPUT_FILES += [
+    pytest.param(command, option,
+                 rewritten(name, lineno, lambda doc, edit=edit, v=v: edit(doc, v)),
+                 id=f"{place}-{spelling}")
+    for command, option, name, lineno, place, edit in NON_FINITE_PLACES
+    for spelling, v in [("NaN", float("nan")), ("Infinity", float("inf")),
+                        ("-Infinity", -float("inf"))]
+]
+
 
 @pytest.mark.parametrize("command, option, write_bad", BAD_INPUT_FILES)
 def test_bad_input_file_exits_2_without_traceback(demo, tmp_path, command, option,
@@ -427,6 +454,7 @@ def test_non_finite_scenario_value_exits_2(tmp_path, capsys, line):
     ("duration_seconds = 1e200\nfps = 1e200\n", ()),  # the spec's frame count
     ("", ("--train-seconds", "1e308")),  # the split's training frame count
     ("train_seconds = 1e308\n", ()),
+    ("duration_seconds = 1e300\nfps = 1\n", ()),  # finite, but past sys.maxsize frames
 ])
 def test_overflowing_frame_count_exits_2(tmp_path, capsys, lines, flags):
     cfg = tmp_path / "huge.cfg"
@@ -437,6 +465,7 @@ def test_overflowing_frame_count_exits_2(tmp_path, capsys, lines, flags):
                    "--out-truth", tmp_path / "gt.json", *flags)
     assert code == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert "* fps must be finite" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
 

@@ -1,9 +1,12 @@
 """Tests for scoring, the exhaustive per-frame baseline, timing reports,
 sweeps, and Pareto-front extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from prototrack import evaluate
 from prototrack.errors import MisalignedStreams
 from prototrack.evaluate import (
     SweepPoint,
@@ -259,6 +262,24 @@ def test_timing_reps_must_be_positive():
         measure_tracker(frames, gallery, TrackerConfig(fps=30.0), reps=0)
 
 
+def test_timing_returns_the_first_pass_results(monkeypatch):
+    passes = []
+
+    def new_pass(*args):
+        passes.append([])  # a distinct result object per pass
+        return passes[-1]
+
+    monkeypatch.setattr(evaluate, "_baseline_pass", new_pass)
+    results, timing = run_baseline([(0, [])], tracks_one_hot(), RecognizerConfig(), reps=3)
+    assert len(passes) == 3 and results is passes[0] and timing.frames == 1
+    passes.clear()
+    monkeypatch.setattr(evaluate, "run", lambda *args: SimpleNamespace(results=new_pass()))
+    gallery = build_gallery_kmeans(tracks_one_hot(), k=1, seed=0)
+    results, timing = measure_tracker(iter([(0, []), (1, [])]), gallery,
+                                      TrackerConfig(fps=30.0), reps=3)
+    assert len(passes) == 3 and results is passes[0] and timing.frames == 2
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -344,3 +365,52 @@ def test_pareto_front_invariants_on_random_point_sets():
             for _ in range(n)
         ]
         check_front_invariants(pts, pareto_front(pts))
+
+
+def pareto_front_reference(points):
+    """pareto_front before its sort-and-sweep form, verbatim: the reference
+    the current one must match item for item."""
+    unique = []
+    seen = set()
+    for p in points:
+        key = (p.accuracy, p.seconds_per_frame)
+        if key not in seen:
+            seen.add(key)
+            unique.append(p)
+    front = []
+    for p in unique:
+        dominated = False
+        for q in unique:
+            if q is p:
+                continue
+            if (q.accuracy >= p.accuracy
+                    and q.seconds_per_frame <= p.seconds_per_frame
+                    and (q.accuracy > p.accuracy
+                         or q.seconds_per_frame < p.seconds_per_frame)):
+                dominated = True
+                break
+        if not dominated:
+            front.append(p)
+    return sorted(front, key=lambda p: (p.seconds_per_frame, p.accuracy, p.k))
+
+
+def test_pareto_front_matches_dominance_loop_reference():
+    a = SweepPoint(1, 0.8, 0.002)
+    dup = SweepPoint(2, 0.8, 0.002)  # an exact duplicate of a
+    more_accurate = SweepPoint(3, 0.9, 0.002)  # same time as a
+    faster = SweepPoint(4, 0.8, 0.001)  # same accuracy as a
+    sets = [[], [a], [a, dup], [dup, a], [a, more_accurate], [more_accurate, a],
+            [a, faster], [faster, a], [dup, faster, a, more_accurate],
+            [SweepPoint(5, 0.0, 0.001), SweepPoint(6, -0.0, 0.001)]]
+    rng = np.random.default_rng(14)
+    for _ in range(1200):
+        n = int(rng.integers(0, 25))
+        # coarse grids: exact duplicates and ties on either field are common
+        accuracies = rng.integers(0, 6, n) / 5.0
+        times = rng.integers(1, 6, n) / 1000.0
+        sets.append([SweepPoint(i, float(acc), float(t))
+                     for i, (acc, t) in enumerate(zip(accuracies, times))])
+    for points in sets:
+        front, expected = pareto_front(points), pareto_front_reference(points)
+        assert len(front) == len(expected)
+        assert all(p is q for p, q in zip(front, expected))

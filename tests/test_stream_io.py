@@ -2,6 +2,7 @@
 results, and the CSV report writers."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -353,13 +354,14 @@ def test_stream_zero_embedding_rejected(tmp_path):
         read_stream(path)
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -30.0])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -float("inf"), 0.0, -30.0])
 def test_stream_header_fps_must_be_positive(tmp_path, fps):
     path = tmp_path / "s.jsonl"
     header = {"version": 1, "fps": fps, "frame_width": 1920,
               "frame_height": 1080, "embedding_dim": DIM}
     path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(ParseError, match="line 1: .*fps must be positive") as exc:
+    rule = "positive" if math.isfinite(fps) else "finite"
+    with pytest.raises(ParseError, match=f"line 1: .*fps must be {rule}") as exc:
         read_stream(path)
     assert exc.value.line_number == 1
 
@@ -828,12 +830,14 @@ def tracks_doc(tmp_path):
     return path, json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("fps", [float("nan"), 0.0])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -float("inf"), 0.0])
 def test_tracks_fps_must_be_positive(tmp_path, fps):
     path, doc = tracks_doc(tmp_path)
     doc["tracks"][0]["fps"] = fps
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="fps must be positive"):
+    rule = "positive" if math.isfinite(fps) else "finite"
+    where = "" if math.isfinite(fps) else "track 'amy': "
+    with pytest.raises(ParseError, match=f"{where}fps must be {rule}"):
         read_tracks(path)
 
 
@@ -1022,7 +1026,7 @@ def test_truth_fps_must_be_positive(tmp_path):
     doc = json.loads(path.read_text())
     doc["fps"] = float("nan")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="fps must be positive"):
+    with pytest.raises(ParseError, match="fps must be finite"):
         read_truth(path)
 
 
@@ -1153,16 +1157,23 @@ def test_results_unknown_source_rejected(tmp_path):
         read_results(path)
 
 
-@pytest.mark.parametrize("key, index", [("box", 1), ("distance", None)])
-def test_results_non_finite_rejected_with_line(tmp_path, key, index):
+@pytest.mark.parametrize("key, index, bad", [
+    pytest.param("box", 1, float("nan"), id="box-1"),
+    pytest.param("box", 2, float("inf"), id="box-2-inf"),
+    pytest.param("box", 3, -float("inf"), id="box-3--inf"),
+    pytest.param("distance", None, float("inf"), id="distance-None"),
+    pytest.param("distance", None, float("nan"), id="distance-nan"),
+    pytest.param("distance", None, -float("inf"), id="distance--inf"),
+])
+def test_results_non_finite_rejected_with_line(tmp_path, key, index, bad):
     path = tmp_path / "r.jsonl"
     write_results(sample_results(), path)
     lines = path.read_text().splitlines(keepends=True)
     rec = json.loads(lines[1])
     if index is None:
-        rec["entries"][0][key] = float("inf")
+        rec["entries"][0][key] = bad
     else:
-        rec["entries"][0][key][index] = float("nan")
+        rec["entries"][0][key][index] = bad
     lines[1] = json.dumps(rec) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ParseError, match="line 2: .*non-finite"):

@@ -62,6 +62,8 @@ def test_spec_validation():
         small_spec(frame_height=-1080)
     with pytest.raises(ValueError, match=r"duration_seconds \* fps must be finite"):
         small_spec(duration_seconds=1e200, fps=1e200)
+    with pytest.raises(ValueError, match=r"duration_seconds \* fps must be .*sys.maxsize"):
+        small_spec(duration_seconds=1e300, fps=1.0)
     with pytest.raises(ValueError):
         Event("teleport", "p01", 0)
     with pytest.raises(ValueError):
