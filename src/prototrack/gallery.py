@@ -22,6 +22,12 @@ METHOD_KMEANS = "kmeans"
 METHOD_SAMPLING = "sampling"
 
 
+def _check_label(kind, label) -> None:
+    """A participant label must be non-empty and other than Unknown."""
+    if not label or label == UNKNOWN:
+        raise ValueError(f"invalid {kind} label: {label!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingTrack:
     """Time-ordered labeled embedding samples from one participant.
@@ -35,12 +41,12 @@ class TrainingTrack:
     fps: float
 
     def __post_init__(self):
-        if not self.label or self.label == UNKNOWN:
-            raise ValueError(f"invalid track label: {self.label!r}")
+        _check_label("track", self.label)
         if not self.samples:
             raise EmptyInput(f"track {self.label!r} has no samples")
         if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite: {self.fps}")
+            raise ValueError(
+                f"track {self.label!r}: fps must be positive and finite: {self.fps}")
         frames = [f for f, _ in self.samples]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"track {self.label!r} frames must strictly increase")
@@ -61,9 +67,9 @@ class Prototype:
 class Gallery:
     """Per-participant prototype lists, keyed by label.
 
-    The Unknown label is never a key, and any label that is present has at
-    least one prototype. An empty entries dict is representable (so writers
-    can refuse it explicitly) but most consumers reject it.
+    Every key is a non-empty label other than Unknown, and has at least one
+    prototype. An empty entries dict is representable (so writers can
+    refuse it explicitly) but most consumers reject it.
     """
 
     entries: dict = field(default_factory=dict)
@@ -72,9 +78,8 @@ class Gallery:
     seed: int | None = None
 
     def __post_init__(self):
-        if UNKNOWN in self.entries:
-            raise ValueError("gallery must not contain the Unknown label")
         for label, protos in self.entries.items():
+            _check_label("entry", label)
             if not protos:
                 raise ValueError(f"gallery entry {label!r} has no prototypes")
 

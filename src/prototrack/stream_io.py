@@ -17,11 +17,12 @@ strings or bools. The values of embedding and prototype vectors must be
 JSON numbers too; a string, a null or an all-bool vector is rejected, but
 a bool among numbers still reads as 1.0 or 0.0.
 
-The writers spell vectors with floattext.float_arrays, 64 rows (or the
-rows of 64 frames) per call. Its exact integer kernel spells each number x
-with 1e-4 <= |x| < 1 at 9 significant digits (nearly all of an
-embedding's), and a per-number %-format spells the others. write_tracks
-and write_gallery stream their document to the file as they go."""
+The writers spell vectors, and each landmark point as a pair (a vector of
+two), with floattext.float_arrays, 64 rows (or the rows of 64 frames) per
+call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
+at 9 significant digits (nearly all of an embedding's), and a per-number
+%-format spells the others. write_tracks and write_gallery stream their
+document to the file as they go."""
 
 from __future__ import annotations
 
@@ -203,15 +204,15 @@ def write_stream(path, header: StreamHeader, frames) -> None:
         while chunk := list(islice(frames, 64)):
             dets = [d for _, detections in chunk for d in detections]
             boxes = iter(_box_rows([d.box for d in dets]))
-            marks = iter(float_arrays([d.landmarks.points for d in dets
-                                        if d.landmarks is not None]))
+            marks = iter(float_arrays([p for d in dets if d.landmarks is not None
+                                       for p in d.landmarks.points]))
             embeddings = iter(float_arrays([d.embedding for d in dets]))
             for frame_index, detections in chunk:
                 records = []
                 for d in detections:
                     rec = '{"box":' + next(boxes)
                     if d.landmarks is not None:
-                        rec += ',"landmarks":' + next(marks)
+                        rec += ',"landmarks":[' + ",".join(islice(marks, 5)) + "]"
                     rec += ',"embedding":' + next(embeddings)
                     if d.gt_label is not None:
                         rec += ',"gt_label":' + json.dumps(d.gt_label)
@@ -336,12 +337,12 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
 
     Frames must be JSON integers (not bools or floats). The vectors are
     read as one matrix and normalized row by row. They must share one
-    length, and that length must be `dim` unless it is None. Errors name
-    the record's label; a count mismatch gives both counts, mixed lengths
-    give the lengths, and a zero or non-finite vector the frame of its
-    sample.
+    length, and that length must be `dim` unless it is None. The label
+    must be a JSON string. Errors name the record's label; a count
+    mismatch gives both counts, mixed lengths give the lengths, and a zero
+    or non-finite vector the frame of its sample.
     """
-    label = record["label"]
+    label = _text(f"{kind} label", record["label"])
     try:
         frames, vectors = record[frames_key], record[vectors_key]
         if len(frames) != len(vectors):
@@ -396,13 +397,16 @@ def write_gallery(gallery: Gallery, path) -> None:
 
 
 def read_gallery(path) -> Gallery:
-    """Read a gallery; every prototype must have the declared embedding_dim."""
+    """Read a gallery; every prototype must have the declared embedding_dim,
+    and every entry a label of its own."""
     doc = _read_document(path, "gallery", GALLERY_VERSION)
     entries = {}
     try:
         dim = _size("embedding_dim", doc["embedding_dim"])
         for ent in doc["entries"]:
             samples = _unit_samples("entry", ent, "frames", "prototypes", dim)
+            if ent["label"] in entries:
+                raise ValueError(f"entry {ent['label']!r}: duplicate label")
             entries[ent["label"]] = [Prototype(vec, f) for f, vec in samples]
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))

@@ -389,6 +389,24 @@ BAD_INPUT_FILES = [
         "gallery.json", 1, lambda doc: doc["entries"][0].update(prototypes=[
             [v > 0 for v in vec] for vec in doc["entries"][0]["prototypes"]])),
         id="gallery-prototype-bools"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][1].update(label="p01")),
+        id="gallery-label-duplicate"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][1].update(label=5)),
+        id="gallery-label-number"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][1].update(label=None)),
+        id="gallery-label-null"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc["entries"][1].update(label="")),
+        id="gallery-label-empty"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][1].update(label=5)),
+        id="tracks-label-number"),
+    pytest.param("gallery", "--tracks", rewritten(
+        "tracks.json", 1, lambda doc: doc["tracks"][1].update(label=["x"])),
+        id="tracks-label-array"),
 ]
 
 # (subcommand, option, file, line, place, how the bad value goes in): each
@@ -434,6 +452,7 @@ def test_bad_input_file_exits_2_without_traceback(demo, tmp_path, command, optio
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"prototrack {command}: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -174,9 +174,11 @@ def test_writer_rounds_exact_ties_half_to_even(tmp_path):
 
 
 def test_writer_spells_every_value_near_a_decade_edge(tmp_path):
-    # the decimal exponent changes at each edge; 0.5 is where the binade does
+    # the decimal exponent changes at each power of ten, and the exponent
+    # field, which sets the kernel's shift, at each power of two
     edges = np.concatenate([ulps_around(x, 2000)
-                            for x in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 0.5)])
+                            for x in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0,
+                                      *(2.0 ** -p for p in range(1, 15)))])
     values = np.concatenate([edges, -edges])
     assert_written_canonically(tmp_path, values.reshape(-1, 4001))
 
@@ -742,6 +744,16 @@ def test_gallery_errors_name_the_entry(tmp_path):
         read_gallery(path)
 
 
+def test_gallery_labels_must_be_unique(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["label"] = "alice"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad gallery document: entry 'alice': duplicate label$"):
+        read_gallery(path)
+
+
 def test_gallery_ragged_entry_rejected(tmp_path):
     path = tmp_path / "g.json"
     write_gallery(small_gallery(), path)
@@ -836,8 +848,7 @@ def test_tracks_fps_must_be_positive(tmp_path, fps):
     doc["tracks"][0]["fps"] = fps
     path.write_text(json.dumps(doc))
     rule = "positive" if math.isfinite(fps) else "finite"
-    where = "" if math.isfinite(fps) else "track 'amy': "
-    with pytest.raises(ParseError, match=f"{where}fps must be {rule}"):
+    with pytest.raises(ParseError, match=f"^bad tracks document: track 'amy': fps must be {rule}"):
         read_tracks(path)
 
 
