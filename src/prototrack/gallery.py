@@ -9,6 +9,7 @@ Both are deterministic for a fixed seed and input.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -23,9 +24,14 @@ METHOD_SAMPLING = "sampling"
 
 
 def _check_label(kind, label) -> None:
-    """A participant label must be non-empty and other than Unknown."""
-    if not label or label == UNKNOWN:
+    """A participant label must be a non-empty string other than Unknown."""
+    if not isinstance(label, str) or not label or label == UNKNOWN:
         raise ValueError(f"invalid {kind} label: {label!r}")
+
+
+def _is_frame(frame) -> bool:
+    """A frame index is an integer, not a bool: what the readers accept."""
+    return isinstance(frame, numbers.Integral) and not isinstance(frame, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +39,8 @@ class TrainingTrack:
     """Time-ordered labeled embedding samples from one participant.
 
     samples is a list of (frame index, unit embedding) pairs with strictly
-    increasing frame indices; fps ties frame counts back to wall-clock time.
+    increasing integer frame indices; fps ties frame counts back to
+    wall-clock time.
     """
 
     label: str
@@ -48,6 +55,8 @@ class TrainingTrack:
             raise ValueError(
                 f"track {self.label!r}: fps must be positive and finite: {self.fps}")
         frames = [f for f, _ in self.samples]
+        if not all(map(_is_frame, frames)):
+            raise ValueError(f"track {self.label!r} frames must be integers")
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"track {self.label!r} frames must strictly increase")
 
@@ -62,12 +71,16 @@ class Prototype:
     vector: np.ndarray
     source_frame: int
 
+    def __post_init__(self):
+        if not _is_frame(self.source_frame):
+            raise ValueError(f"prototype frame must be an integer: {self.source_frame!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Gallery:
     """Per-participant prototype lists, keyed by label.
 
-    Every key is a non-empty label other than Unknown, and has at least one
+    Every key is a non-empty string other than Unknown, and has at least one
     prototype. An empty entries dict is representable (so writers can
     refuse it explicitly) but most consumers reject it.
     """

@@ -1007,6 +1007,64 @@ def test_tracks_unsupported_version(tmp_path):
         read_tracks(path)
 
 
+# ------------------------------------------------------- writers over readers
+
+# labels and frame converters, each with whether a reader takes what it gives
+ROUND_TRIP_LABELS = [("p01", True), ("Zo\u00eb", True), ('say "hi"\\n', True),
+                     (np.str_("p02"), True), (5, False), (None, False),
+                     (True, False), (1.5, False), (("p01",), False),
+                     (b"p01", False), ("", False), (UNKNOWN, False)]
+ROUND_TRIP_FRAMES = [(int, True), (np.int64, True), (np.int32, True),
+                     (lambda f: f + 0.5, False), (float, False),
+                     (np.float64, False), (str, False), (lambda f: [f], False)]
+
+
+def build(label, frames):
+    """A gallery and a track of unit vectors at label and frames: the
+    constructors either accept both or raise ValueError."""
+    rng = np.random.default_rng(len(frames))
+    samples = [(f, rand_unit(rng)) for f in frames]
+    return (Gallery(entries={label: [Prototype(v, f) for f, v in samples]}),
+            TrainingTrack(label, samples, 30.0))
+
+
+def assert_read_back(tmp_path, gallery, track):
+    """Both written and read back with the same label, frames and vectors."""
+    write_gallery(gallery, tmp_path / "g.json")
+    write_tracks([track], tmp_path / "t.json")
+    [(label, protos)] = read_gallery(tmp_path / "g.json").entries.items()
+    [back] = read_tracks(tmp_path / "t.json")
+    for got_label, got in ((label, [(p.source_frame, p.vector) for p in protos]),
+                           (back.label, back.samples)):
+        assert got_label == track.label and type(got_label) is str
+        assert [f for f, _ in got] == [f for f, _ in track.samples]
+        assert {type(f) for f, _ in got} == {int}
+        assert np.allclose([v for _, v in got], [v for _, v in track.samples], atol=1e-6)
+
+
+def test_writers_write_only_what_their_readers_read_back(tmp_path):
+    """Whatever Gallery, Prototype and TrainingTrack accept, write_gallery and
+    write_tracks write, and the readers read back equal. Any other label or
+    frame is a ValueError when the object is built."""
+    for label, frames in ((5, [0]), ("p01", [0.5, 1.5])):
+        with pytest.raises(ValueError):
+            build(label, frames)
+    rng = np.random.default_rng(1616)
+    outcomes = set()
+    for _ in range(300):
+        label, label_ok = ROUND_TRIP_LABELS[rng.integers(len(ROUND_TRIP_LABELS))]
+        frames = sorted(rng.choice(1000, size=int(rng.integers(1, 5)), replace=False))
+        convert, frames_ok = ROUND_TRIP_FRAMES[rng.integers(len(ROUND_TRIP_FRAMES))]
+        frames = [convert(int(f)) for f in frames]
+        if label_ok and frames_ok:
+            assert_read_back(tmp_path, *build(label, frames))
+        else:
+            with pytest.raises(ValueError):
+                build(label, frames)
+        outcomes.add((label_ok, frames_ok))
+    assert len(outcomes) == 4
+
+
 # ------------------------------------------------------- truth
 
 

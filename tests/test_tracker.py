@@ -4,6 +4,9 @@ Scripted streams use 8-dimensional one-hot embeddings so every distance is
 exactly 0, 0.5, or 1 and the expected behavior can be stated by hand.
 """
 
+import dataclasses
+import math
+import struct
 import sys
 
 import numpy as np
@@ -24,7 +27,7 @@ from prototrack.tracker import (
     _miss,
     _observe,
     _overlap_candidates,
-    _resolve_frame,
+    _promote,
     run,
     run_initial_window,
     step,
@@ -624,6 +627,36 @@ def test_state_defaults():
 # the initial window against its former, separate bookkeeping
 
 
+# The duplicate rule as tracker.py held it before one winners table per frame
+# took its place, kept verbatim: the former window below and the former step
+# at the end of this file both call it.
+def _resolve_frame(detected, placeholders):
+    """Apply the duplicate-identity rules and return the final entry tuple.
+
+    detected: list of FrameEntry from detections, in detection order.
+    placeholders: occlusion placeholders, appended after detections.
+    Among detected entries sharing a named label the smallest distance
+    (then earliest detection) keeps it; a placeholder whose label was
+    detected is dropped entirely.
+    """
+    winners = {}
+    for i, e in enumerate(detected):
+        if e.label == UNKNOWN:
+            continue
+        best = winners.get(e.label)
+        if best is None or (e.distance, i) < (detected[best].distance, best):
+            winners[e.label] = i
+    out = []
+    for i, e in enumerate(detected):
+        if e.label != UNKNOWN and winners[e.label] != i:
+            e = FrameEntry(UNKNOWN, e.box, e.distance, e.source)
+        out.append(e)
+    for p in placeholders:
+        if p.label not in winners:
+            out.append(p)
+    return tuple(out)
+
+
 def reference_run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
     """run_initial_window as it was before it became a run of window steps:
     its own classify / resolve / observe / miss loop over a private faces
@@ -766,3 +799,150 @@ def test_window_holds_the_active_policy_until_its_end():
         face = state.inactive["alice"]
         assert (face.total_appearances, face.total_frames_processed,
                 face.continuous_appearances) == (1, 60, 0)
+
+
+# ---------------------------------------------------------------------------
+# step() against the former step, which ranked each frame's labels twice
+
+
+# kept verbatim: a claims dict over the classified rows for the state
+# updates, then _resolve_frame over all rows for duplicates and placeholders
+def reference_step(state, frame_index, detections, gallery, cfg, frame_area, window):
+    """step()'s body. With window set, a match never promotes and a new
+    label always starts inactive: run_initial_window promotes at its end."""
+    _advance(state, frame_index)
+    kept = _kept(detections, frame_area, cfg.recognizer)
+
+    # 1. every identity tracked at frame start ages one processed frame
+    for face in [*state.active.values(), *state.inactive.values()]:
+        face.total_frames_processed += 1
+
+    # 2. box-overlap reuse against active identities, greedy highest first
+    entry_slots = [None] * len(kept)
+    matched_labels = set()
+    for _, di, label in sorted(_overlap_candidates(kept, state.active, cfg.reuse_iou)):
+        if entry_slots[di] is None and label not in matched_labels:
+            matched_labels.add(label)
+            face = state.active[label]
+            _observe(face, kept[di].box, face.last_distance, cfg)
+            entry_slots[di] = FrameEntry(
+                label, face.last_box, face.last_distance, SOURCE_REUSED)
+
+    # 3. classify everything the reuse pass did not claim; the closest
+    # detection speaks for its label when it comes to state updates
+    rest = [di for di, slot in enumerate(entry_slots) if slot is None]
+    labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
+    claims = {}  # label -> (distance, detection idx) of its closest claim
+    for di, label, distance in zip(rest, labels, distances):
+        entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
+        if label != UNKNOWN and (distance, di) < claims.get(label, (math.inf, di)):
+            claims[label] = (distance, di)
+    promoted = set()
+    for label, (distance, di) in claims.items():
+        box = kept[di].box
+        if label in state.active:
+            # matched by identity but not by position: emit only, and let
+            # the missing branch handle the tracked box
+            continue
+        if label in state.inactive:
+            face = state.inactive[label]
+            _observe(face, box, distance, cfg)
+            if not window and face.appearance_ratio >= cfg.promote_ratio:
+                _promote(state, face, cfg)
+                promoted.add(label)
+        else:
+            face = state.inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
+            if not window and cfg.new_face_policy == NEW_FACE_ACTIVE:
+                _promote(state, face, cfg)
+                promoted.add(label)
+
+    # 4a. active identities with no overlap match lose confidence and are
+    # bridged as occluded while the counter holds, demoted otherwise
+    placeholders = []
+    demoted = set()
+    for label in sorted(state.active):
+        if label in matched_labels or label in promoted:
+            continue
+        face = state.active[label]
+        _miss(face)
+        if face.continuous_appearances >= cfg.min_appearances:
+            placeholders.append(FrameEntry(
+                label, face.last_box, face.last_distance, SOURCE_OCCLUDED))
+        else:
+            del state.active[label]
+            state.inactive[label] = face
+            demoted.add(label)
+
+    # 4b. unmatched inactive identities decay their confidence counter too
+    for label, face in state.inactive.items():
+        if label not in claims and label not in demoted:
+            _miss(face)
+
+    entries = _resolve_frame(entry_slots, placeholders)
+    state.results.append(FrameResult(frame_index, entries))
+    return state
+
+
+def reference_run(frames, gallery, cfg, frame_area, seen):
+    """tracker.run shaped over reference_step: window steps, the promotion
+    pass, then one step per frame, counting the steps' promotions and
+    demotions in seen."""
+    window = frames[:cfg.window_frames()]
+    state = TrackerState(frame_cursor=window[0][0] - 1)
+    for frame_index, detections in window:
+        reference_step(state, frame_index, detections, gallery, cfg, frame_area, window=True)
+    for face in [f for f in state.inactive.values()
+                 if f.appearance_ratio >= cfg.promote_ratio]:
+        _promote(state, face, cfg)
+    for frame_index, detections in frames[len(window):]:
+        active = set(state.active)
+        reference_step(state, frame_index, detections, gallery, cfg, frame_area, window=False)
+        seen["promoted"] += len(state.active.keys() - active)
+        seen["demoted"] += len(state.inactive.keys() & active)
+    return state
+
+
+def exact(value):
+    """value with every float spelled as its bits and every record as its
+    type name and fields, so == compares bit for bit and type for type."""
+    if isinstance(value, float):
+        return type(value).__name__, struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(exact, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            exact(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+@pytest.mark.parametrize("policy", [tracker.NEW_FACE_INACTIVE, NEW_FACE_ACTIVE])
+def test_run_matches_the_former_step(policy, monkeypatch):
+    rng = np.random.default_rng(1601 if policy == NEW_FACE_ACTIVE else 1607)
+    seen = dict.fromkeys(("promoted", "demoted", "occluded", "placeholder dropped",
+                          "relabeled", "reused relabeled", "no gallery"), 0)
+
+    def counting_resolve(detected, placeholders, resolve=_resolve_frame):
+        entries = resolve(detected, placeholders)
+        relabeled = [e for e, out in zip(detected, entries) if e.label != out.label]
+        seen["relabeled"] += len(relabeled)
+        seen["reused relabeled"] += sum(e.source == SOURCE_REUSED for e in relabeled)
+        seen["occluded"] += len(entries) - len(detected)
+        seen["placeholder dropped"] += len(detected) + len(placeholders) - len(entries)
+        return entries
+
+    monkeypatch.setitem(globals(), "_resolve_frame", counting_resolve)
+    for _ in range(400):
+        frames, window, index, config, frame_area = random_case(rng, policy)
+        # the case's own window length: ceil((window - 0.5) / fps * fps)
+        config = dataclasses.replace(config, init_window_seconds=(window - 0.5) / config.fps)
+        assert config.window_frames() == window
+        want = reference_run(frames, index, config, frame_area, seen)
+        got = run(frames, index, config, frame_area)
+        assert exact(got.results) == exact(want.results)
+        assert got.classify_calls == want.classify_calls
+        assert got.frame_cursor == want.frame_cursor
+        for pool in ("active", "inactive"):  # keys in insertion order
+            assert exact(list(getattr(got, pool).items())) == \
+                exact(list(getattr(want, pool).items()))
+        seen["no gallery"] += index is None
+    assert all(seen.values()), seen
