@@ -1,4 +1,9 @@
-"""Minimum-distance classification of embeddings against a gallery."""
+"""Minimum-distance classification of embeddings against a gallery.
+
+A batch of m query rows is matched against all P prototypes in one
+(m, d) @ (d, P) product, the prototypes held as the columns of one matrix,
+then reduced per label before the distances are clipped.
+"""
 
 from __future__ import annotations
 
@@ -66,8 +71,10 @@ def area_filter(detection, frame_area, cfg: RecognizerConfig) -> bool:
 class GalleryIndex:
     """Flattened view of a gallery for fast repeated matching.
 
-    Prototypes are stacked into one matrix, grouped by sorted label, so a
-    query is one matrix-vector product plus per-label segment maxima.
+    The prototypes are held once, as the columns of one C-contiguous
+    (d, P) float64 matrix grouped by sorted label, so a batch of queries is
+    one (m, d) @ (d, P) product plus per-label segment maxima. The tracker
+    and the exhaustive baseline both classify through this one product.
     """
 
     def __init__(self, gallery: Gallery):
@@ -82,8 +89,13 @@ class GalleryIndex:
             raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
         counts = [len(entries[label]) for label in self.labels]
         self.starts = np.cumsum([0] + counts[:-1], dtype=np.intp)
-        self.matrix = np.array(rows)
-        self.dim = self.matrix.shape[1]
+        self.columns = np.stack(rows, axis=1)
+        self.dim = self.columns.shape[0]
+
+    def similarities(self, q):
+        """(m, P) cosine similarities of the (m, d) unit queries to every
+        prototype column: the one matrix product of classification."""
+        return q @ self.columns
 
     def _label_distances(self, q):
         """(m, labels): each row of the (m, d) queries' smallest distance to
@@ -94,7 +106,7 @@ class GalleryIndex:
         is the segment minimum of the clipped distances bit for bit, on far
         fewer columns.
         """
-        per_label = 1.0 - np.maximum.reduceat(q @ self.matrix.T, self.starts, axis=1)
+        per_label = 1.0 - np.maximum.reduceat(self.similarities(q), self.starts, axis=1)
         np.maximum(per_label, 0.0, out=per_label)
         return np.minimum(per_label, 2.0, out=per_label)
 

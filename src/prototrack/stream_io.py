@@ -370,6 +370,32 @@ def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
         raise ValueError(f"{kind} {label!r}: {exc}") from None
 
 
+def _check_vectors(kind, label, frames, vectors_key, vectors, dim):
+    """The width of one gallery entry's or track's vectors, checked as
+    _unit_samples reads them back, in its words: 1-D vectors of one length,
+    that length `dim` unless it is None, and each one finite and not all
+    zero once narrowed to the float32 values that float_arrays writes."""
+    try:
+        shapes = sorted({np.shape(vec) for vec in vectors})
+        if any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"{vectors_key} must be vectors of numbers")
+        if len(shapes) > 1:
+            lengths = [shape[0] for shape in shapes]
+            raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
+        with np.errstate(over="ignore"):  # past the float32 range is written as Infinity
+            rows = np.asarray(vectors, dtype=np.float32)
+        width = rows.shape[1]
+        if dim is not None and width != dim:
+            raise ValueError(f"{vectors_key} have length {width}, not {dim}")
+        bad = np.flatnonzero(~(np.isfinite(rows).all(axis=1) & rows.any(axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"frame {frames[bad[0]]}: cannot normalize a zero or non-finite vector")
+        return width
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} {label!r}: {exc}") from None
+
+
 def _write_float_rows(fh, rows) -> None:
     """Write the JSON text of each of `rows` to `fh`, comma-separated,
     formatting 64 rows at a time."""
@@ -378,14 +404,23 @@ def _write_float_rows(fh, rows) -> None:
 
 
 def write_gallery(gallery: Gallery, path) -> None:
-    """Write a gallery as a single JSON document (labels sorted)."""
+    """Write a gallery as a single JSON document (labels sorted).
+
+    Every prototype is checked before the file is opened, so a ValueError
+    naming the entry leaves no file and no change behind: the vectors must
+    share one width, and each must be finite and not zero."""
     if not gallery.entries:
         raise EmptyGallery("refusing to write a gallery with no prototypes")
+    dim = None
+    for label in gallery.labels:
+        protos = gallery.entries[label]
+        dim = _check_vectors("entry", label, [p.source_frame for p in protos],
+                             "prototypes", [p.vector for p in protos], dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
                  '"entries":[' % (GALLERY_VERSION, json.dumps(gallery.method),
                                   json.dumps(gallery.k), json.dumps(gallery.seed),
-                                  json.dumps(gallery.dim)))
+                                  json.dumps(dim)))
         for i, label in enumerate(gallery.labels):
             protos = gallery.entries[label]
             fh.write('%s{"label":%s,"frames":%s,"prototypes":[' % (
@@ -416,10 +451,19 @@ def read_gallery(path) -> Gallery:
 
 def write_tracks(tracks, path) -> None:
     """Write training tracks as a single JSON document (labels sorted),
-    track by track, so that the text of only 64 embeddings is held at once."""
+    track by track, so that the text of only 64 embeddings is held at once.
+
+    Every track is checked before the file is opened, as write_gallery
+    checks its entries: one width for all the embeddings, each finite and
+    not zero."""
+    tracks = sorted(tracks, key=lambda t: t.label)
+    dim = None
+    for t in tracks:
+        dim = _check_vectors("track", t.label, [f for f, _ in t.samples],
+                             "embeddings", [e for _, e in t.samples], dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{"version":%d,"tracks":[' % TRACKS_VERSION)
-        for i, t in enumerate(sorted(tracks, key=lambda t: t.label)):
+        for i, t in enumerate(tracks):
             fh.write('%s{"label":%s,"fps":%s,"frames":%s,"embeddings":[' % (
                 "," if i else "", json.dumps(t.label), float_text(t.fps),
                 _int_array([f for f, _ in t.samples])))

@@ -1,9 +1,12 @@
 """Minimum-distance classification against the exhaustive-scan oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from prototrack.errors import DimensionMismatch, EmptyGallery
+from prototrack.floattext import canonical_float
 from prototrack.gallery import Gallery, Prototype
 from prototrack.recognizer import (
     Classification,
@@ -266,7 +269,7 @@ def test_classification_is_plain_value():
 def clip_then_reduce(index, q, threshold):
     """classify_batch as first written: every prototype column's distance
     clipped to [0, 2], then each label's segment minimum."""
-    dists = 1.0 - q @ index.matrix.T
+    dists = 1.0 - index.similarities(q)
     np.clip(dists, 0.0, 2.0, out=dists)
     per_label = np.minimum.reduceat(dists, index.starts, axis=1)
     best = np.argmin(per_label, axis=1)
@@ -311,8 +314,70 @@ def test_classify_batch_matches_clip_then_reduce_bit_for_bit():
         assert np.array_equal(distances.view(np.uint64), want_distances.view(np.uint64))
         per_label = index._label_distances(q)
         assert np.array_equal(per_label.view(np.uint64), want_per_label.view(np.uint64))
-        raw = 1.0 - q @ index.matrix.T
+        raw = 1.0 - index.similarities(q)
         below += bool((raw < 0.0).any())
         above += bool((raw > 2.0).any())
     # the cases reach past both ends of [0, 2], so they exercise the clamp
     assert below > 100 and above > 10
+
+
+# ---------------------------------------------------------------------------
+# the prototype columns: one copy, and no written distance moves with the
+# number of rows classified at once
+
+
+def clustered_case(rng, dim, counts, queries):
+    """(GalleryIndex, (queries, dim) array): counts[i] prototypes for label i
+    spread around one centre per label, as k-means prototypes lie, and unit
+    queries drawn around those centres, one in five a stranger's."""
+    centres = [rng.normal(size=dim) for _ in counts]
+    entries = {f"p{i}": [l2_normalize(c + 0.6 * rng.normal(size=dim)) for _ in range(n)]
+               for i, (c, n) in enumerate(zip(centres, counts))}
+    rows = [l2_normalize(rng.normal(size=dim)) if rng.random() < 0.2 else
+            l2_normalize(centres[rng.integers(len(counts))] + 0.6 * rng.normal(size=dim))
+            for _ in range(queries)]
+    return GalleryIndex(gallery_from(entries)), np.array(rows)
+
+
+@pytest.mark.parametrize("dim, counts", [
+    (128, [32, 32, 31, 32, 32, 32, 32, 32]),  # churn_classify: 8 people, 255 prototypes
+    (512, [8, 7, 8, 7]),                      # files_512d: 4 people, 30 prototypes
+])
+def test_rows_classified_together_keep_their_written_distances(dim, counts):
+    # the GEMM may round a row's similarities differently with the batch's
+    # row count; the written distance (9 significant digits) and the label
+    # must not change
+    index, queries = clustered_case(np.random.default_rng(dim), dim, counts, 66)
+    cfg = RecognizerConfig()
+    alone = [index.classify_batch(q, cfg) for q in queries]
+    alone_labels = [labels[0] for labels, _ in alone]
+    alone_written = [canonical_float(distances[0]) for _, distances in alone]
+    assert UNKNOWN in alone_labels and len(set(alone_labels)) == len(counts) + 1
+    for m in range(1, 13):
+        for start in range(0, len(queries) - m + 1, m):
+            labels, distances = index.classify_batch(queries[start:start + m], cfg)
+            assert labels == alone_labels[start:start + m]
+            assert [canonical_float(d) for d in distances.tolist()] == \
+                alone_written[start:start + m]
+
+
+def test_index_holds_its_prototypes_once_as_columns():
+    rng = np.random.default_rng(29)
+    entries = {f"p{i}": [l2_normalize(rng.normal(size=512)) for _ in range(250)]
+               for i in (3, 1, 2, 0)}
+    gallery = gallery_from(entries)
+    tracemalloc.start()
+    try:
+        index = GalleryIndex(gallery)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = index.columns
+    assert columns.dtype == np.float64 and columns.flags.c_contiguous
+    assert columns.shape == (512, 1000)
+    # column j is prototype j, labels sorted, each label's in gallery order
+    assert np.array_equal(columns[:, 250], entries["p1"][0])
+    assert np.array_equal(columns[:, 999], entries["p3"][249])
+    # no (P, d) copy is kept, nor made on the way
+    assert retained < 1.1 * columns.nbytes
+    assert peak < 1.1 * columns.nbytes

@@ -1,7 +1,8 @@
 """tools/step_profile.py runs the tracker in process on the demo scenario
 and reports, per pass, the initial window's time, the steps, the p50 and
-p99 step time and the garbage collections of each generation, then the
-scenario's detection count and the process's peak RSS."""
+p99 step time, the time spent classifying and the garbage collections of
+each generation, then the scenario's detection count and the process's peak
+RSS."""
 
 import importlib.util
 import os
@@ -23,13 +24,16 @@ def test_step_profile_reports_every_pass_on_the_demo():
     lines = proc.stdout.splitlines()
     assert lines[1].startswith("40 frames: a 20-frame initial window")
     assert lines[2].split() == ["pass", "window_us", "steps", "p50_us", "p99_us",
-                                "gc0", "gc0_ms", "gc1", "gc1_ms", "gc2", "gc2_ms"]
+                                "classify_us", "gc0", "gc0_ms", "gc1", "gc1_ms",
+                                "gc2", "gc2_ms"]
     rows = [line.split() for line in lines[3:5]]
     assert [[row[0], row[2]] for row in rows] == [["0", "20"], ["1", "20"]]
     for row in rows:
-        window, p50, p99 = float(row[1]), float(row[3]), float(row[4])
+        window, p50, p99, classify = map(float, row[1:2] + row[3:6])
         assert window > 0 and 0 < p50 <= p99
-        assert all(int(n) >= 0 and float(ms) >= 0 for n, ms in zip(row[5::2], row[6::2]))
+        # the demo classifies in every pass, and only inside the timed calls
+        assert 0 < classify < window + int(row[2]) * p99
+        assert all(int(n) >= 0 and float(ms) >= 0 for n, ms in zip(row[6::2], row[7::2]))
     assert len(lines) == 6
     memory = re.fullmatch(r"305 detections in the scenario; peak RSS ([0-9.]+) MB "
                           r"after generate, ([0-9.]+) MB after the passes", lines[5])

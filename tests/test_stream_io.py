@@ -20,6 +20,7 @@ from prototrack.stream_io import (
     STREAM_VERSION,
     StreamHeader,
     canonical_float,
+    float_arrays,
     iter_stream,
     read_gallery,
     read_results,
@@ -94,9 +95,11 @@ def ulps_around(x, n):
     return (bits + np.arange(-n, n + 1, dtype=np.int32)).view(np.float32)
 
 
-def test_vector_writer_matches_canonical_float_json(tmp_path):
-    # the writers format vectors in bulk; every number must still be spelled
-    # exactly as json.dumps spells canonical_float of its float32 value
+def test_vector_writer_matches_canonical_float_json():
+    # the writers format vectors in bulk with float_arrays; every number must
+    # still be spelled exactly as json.dumps spells canonical_float of its
+    # float32 value. The rows hold NaN, infinities and zero rows, which the
+    # gallery and tracks writers refuse, so float_arrays spells them here.
     rng = np.random.default_rng(11)
     f32 = np.finfo(np.float32)
     edges = np.concatenate([ulps_around(x, 2000)
@@ -116,13 +119,9 @@ def test_vector_writer_matches_canonical_float_json(tmp_path):
     ]
     values = np.concatenate([np.asarray(p, dtype=np.float32) for p in parts])
     rows = np.resize(values, (len(values) // 1000 + 1, 1000))
-    path = tmp_path / "t.json"
-    write_tracks([TrainingTrack("p", list(enumerate(rows)), 30.0)], path)
-    expected = json.dumps({"version": 1, "tracks": [{
-        "label": "p", "fps": 30.0, "frames": list(range(len(rows))),
-        "embeddings": [[canonical_float(v) for v in row] for row in rows],
-    }]}, separators=(",", ":")) + "\n"
-    got = path.read_text()
+    expected = json.dumps([[canonical_float(v) for v in row] for row in rows],
+                          separators=(",", ":"))
+    got = "[" + ",".join(float_arrays(rows)) + "]"
     if got != expected:
         got_tokens, want_tokens = got.split(","), expected.split(",")
         i = next(i for i, (a, b) in enumerate(zip(got_tokens, want_tokens))
@@ -197,13 +196,15 @@ def test_writer_mixes_decimal_digits_with_every_other_spelling(tmp_path):
     mixed = [0.25, 0.0, -0.123, -0.0, 3.0, -7.0, 1e-5, 0.5, 1e10, -1e20,
              float("nan"), 0.000123, float("inf"), float("-inf"), 123.456,
              -2.5e-7, 0.999999]
-    assert_written_canonically(tmp_path, [mixed])
-    path = tmp_path / "m.json"
-    write_tracks([TrainingTrack("p", [(0, np.array(mixed))], 30.0)], path)
-    assert path.read_text().endswith(
-        '"embeddings":[[0.25,0.0,-0.123000003,-0.0,3.0,-7.0,9.99999975e-06,0.5,'
+    assert float_arrays([mixed]) == [
+        '[0.25,0.0,-0.123000003,-0.0,3.0,-7.0,9.99999975e-06,0.5,'
         '10000000000.0,-1.00000002e+20,NaN,0.000123000005,Infinity,-Infinity,'
-        '123.456001,-2.49999999e-07,0.999998987]]}]}\n')
+        '123.456001,-2.49999999e-07,0.999998987]']
+    # the tracks reader refuses a non-finite vector, so its writer does too
+    with pytest.raises(ValueError, match="track 'p': frame 0: cannot normalize"):
+        write_tracks([TrainingTrack("p", [(0, np.array(mixed))], 30.0)], tmp_path / "m.json")
+    finite = [x for x in mixed if math.isfinite(x)]
+    assert_written_canonically(tmp_path, [finite])
 
 
 def test_writer_fills_each_row_with_its_own_fallbacks(tmp_path):
@@ -958,12 +959,18 @@ def test_tracks_ragged_track_rejected(tmp_path):
 def test_tracks_mixed_widths_rejected(tmp_path):
     rng = np.random.default_rng(7)
     path = tmp_path / "t.json"
-    write_tracks([
+    tracks = [
         TrainingTrack("amy", [(i, rand_unit(rng)) for i in range(3)], 30.0),
         TrainingTrack("bob", [(i, l2_normalize(rng.normal(size=2 * DIM)))
                               for i in range(3)], 30.0),
-    ], path)
-    with pytest.raises(ParseError, match="track 'bob': embeddings have length 16, not 8"):
+    ]
+    message = "track 'bob': embeddings have length 16, not 8"
+    with pytest.raises(ValueError, match=message):
+        write_tracks(tracks, path)
+    path.write_text(json.dumps({"version": 1, "tracks": [
+        {"label": t.label, "fps": t.fps, "frames": [f for f, _ in t.samples],
+         "embeddings": [e.tolist() for _, e in t.samples]} for t in tracks]}))
+    with pytest.raises(ParseError, match=message):
         read_tracks(path)
 
 
@@ -1064,6 +1071,99 @@ def test_writers_write_only_what_their_readers_read_back(tmp_path):
         outcomes.add((label_ok, frames_ok))
     assert len(outcomes) == 4
 
+
+
+# vectors each reader refuses, with the words it refuses them in
+REFUSED_VECTORS = [
+    ({"p": [[math.nan, 1.0]]}, "'p': frame 0: cannot normalize a zero or non-finite vector"),
+    ({"p": [[1.0, 0.0], [0.0, 0.0]]}, "'p': frame 1: cannot normalize a zero"),
+    ({"p": [[math.inf, 0.0]]}, "'p': frame 0: cannot normalize"),
+    ({"p": [[1e-50, 0.0]]}, "'p': frame 0: cannot normalize"),  # 0.0 as float32
+    ({"p": [[1e39, 1.0]]}, "'p': frame 0: cannot normalize"),   # Infinity as float32
+    ({"a": [[1.0, 0.0]], "b": [[1.0, 0.0, 0.0]]}, "'b': {vectors} have length 3, not 2"),
+    ({"a": [[1.0, 0.0], [1.0, 0.0, 0.0]]}, "'a': {vectors} have mixed lengths \\[2, 3\\]"),
+    ({"a": [[[1.0, 0.0]]]}, "'a': {vectors} must be vectors of numbers"),
+]
+
+
+def written_objects(vectors):
+    """A gallery and tracks holding `vectors` ({label: [vector]}), each
+    vector's frame its index."""
+    samples = {label: [(f, np.asarray(v, dtype=np.float64)) for f, v in enumerate(vs)]
+               for label, vs in vectors.items()}
+    return (Gallery(entries={label: [Prototype(v, f) for f, v in ss]
+                             for label, ss in samples.items()}),
+            [TrainingTrack(label, ss, 30.0) for label, ss in samples.items()])
+
+
+@pytest.mark.parametrize("vectors, message", REFUSED_VECTORS, ids=[
+    "nan", "zero", "inf", "float32-zero", "float32-inf", "widths-across-labels",
+    "widths-within-a-label", "not-1-d"])
+def test_writers_refuse_vectors_before_opening_the_file(tmp_path, vectors, message):
+    gallery, tracks = written_objects(vectors)
+    for write, obj, words in ((write_gallery, gallery, ("entry", "prototypes")),
+                              (write_tracks, tracks, ("track", "embeddings"))):
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("an earlier file")
+        match = f"^{words[0]} " + message.format(vectors=words[1])
+        with pytest.raises(ValueError, match=match):
+            write(obj, kept)
+        with pytest.raises(ValueError, match=match):
+            write(obj, absent)
+        assert kept.read_text() == "an earlier file"
+        assert not absent.exists()
+
+
+def test_writers_write_only_vectors_their_readers_read_back(tmp_path):
+    """A seeded sweep of widths and values: write_gallery and write_tracks
+    either write a file that their readers read back, or refuse, with the
+    reader's words, exactly what the reader refuses in a document of the
+    same float32 values."""
+    rng = np.random.default_rng(1717)
+    values = [0.0, math.nan, math.inf, -math.inf, 1e-50, 1e39]
+    written, reasons = 0, set()
+    for _ in range(200):
+        vectors = {}
+        for label in ("a", "b", "c")[:int(rng.integers(1, 4))]:
+            width = 3 if rng.random() < 0.9 else 2
+            rows = rng.normal(size=(int(rng.integers(1, 4)), width))
+            for _ in range(int(rng.integers(0, 3))):
+                rows[rng.integers(len(rows)), rng.integers(width)] = values[rng.integers(6)]
+            if rng.random() < 0.2:
+                rows[rng.integers(len(rows))] = 0.0
+            vectors[label] = list(rows)
+        gallery, tracks = written_objects(vectors)
+        with np.errstate(over="ignore"):  # past the float32 range is Infinity
+            narrowed = {label: [[canonical_float(x) for x in np.float32(v).tolist()]
+                                for v in vs] for label, vs in vectors.items()}
+        frames = {label: list(range(len(vs))) for label, vs in vectors.items()}
+        for kind, write, read, obj, doc in (
+                ("gallery", write_gallery, read_gallery, gallery, {
+                    "version": 1, "method": "kmeans", "k": None, "seed": None,
+                    "embedding_dim": gallery.dim,
+                    "entries": [{"label": label, "frames": frames[label], "prototypes": vs}
+                                for label, vs in narrowed.items()]}),
+                ("tracks", write_tracks, read_tracks, tracks, {
+                    "version": 1,
+                    "tracks": [{"label": label, "fps": 30.0, "frames": frames[label],
+                                "embeddings": vs} for label, vs in narrowed.items()]})):
+            path, by_hand = tmp_path / f"{kind}.json", tmp_path / f"{kind}.by_hand.json"
+            path.unlink(missing_ok=True)
+            by_hand.write_text(json.dumps(doc))
+            try:
+                write(obj, path)
+            except ValueError as exc:
+                assert not path.exists()
+                with pytest.raises(ParseError) as refusal:
+                    read(by_hand)
+                assert str(refusal.value) == f"bad {kind} document: {exc}"
+                reasons.add(str(exc).split(": ", 1)[1].split(" ")[0])
+            else:
+                read(path)
+                read(by_hand)
+                written += 1
+    # refused both for a bad value (named by frame) and for a width
+    assert written > 50 and reasons == {"frame", "embeddings", "prototypes"}
 
 # ------------------------------------------------------- truth
 
