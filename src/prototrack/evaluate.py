@@ -17,7 +17,7 @@ from statistics import median
 import numpy as np
 
 from .errors import MisalignedStreams
-from .gallery import Gallery, Prototype, build_gallery_kmeans
+from .gallery import Gallery, _checked_tracks, _prototypes, build_gallery_kmeans
 from .recognizer import GalleryIndex, RecognizerConfig
 from .tracker import TrackerConfig, _as_index, run
 from .types import (
@@ -25,7 +25,6 @@ from .types import (
     UNKNOWN,
     FrameEntry,
     FrameResult,
-    l2_normalize,
 )
 
 
@@ -106,8 +105,10 @@ def score(results, truth) -> AccuracyReport:
 
 
 def _index_from_tracks(tracks) -> GalleryIndex:
+    """Every training sample as a prototype, the tracks checked as the
+    gallery builders check them: at least one, each label its own."""
     return GalleryIndex(Gallery(entries={
-        t.label: [Prototype(l2_normalize(e), f) for f, e in t.samples] for t in tracks}))
+        t.label: _prototypes(t, range(len(t.samples))) for t in _checked_tracks(tracks)}))
 
 
 def _baseline_pass(frames, index, cfg: RecognizerConfig):

@@ -14,15 +14,16 @@ non-finite spellings ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by
 the readers: every number in an input file must be finite. Boxes, landmark
 points, distances and fps must be JSON numbers (ints or floats), not
 strings or bools. The values of embedding and prototype vectors must be
-JSON numbers too; a string, a null or an all-bool vector is rejected, but
-a bool among numbers still reads as 1.0 or 0.0.
+JSON numbers too; a string, a null or a bool, alone or among numbers, is
+rejected.
 
 The writers spell vectors, and each landmark point as a pair (a vector of
 two), with floattext.float_arrays, 64 rows (or the rows of 64 frames) per
 call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
 at 9 significant digits (nearly all of an embedding's), and a per-number
-%-format spells the others. write_tracks and write_gallery stream their
-document to the file as they go."""
+%-format spells the others. Gallery and tracks files have one record
+reader and one writer, which streams the document to the file once the
+readers' own rule has passed what it will write."""
 
 from __future__ import annotations
 
@@ -30,7 +31,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import getitem
 
 import numpy as np
 
@@ -130,17 +133,20 @@ def _float_array(key, value) -> np.ndarray:
     """A JSON array of JSON numbers, or of such arrays, as float64.
 
     numpy reads it first without a dtype: a string gives kind U, all bools
-    kind b, and both are rejected. null, or an integer past the int64
-    range, gives kind O: then every value must be a JSON number, and the
-    values are converted with dtype float64, so an integer past the float
-    range raises OverflowError. A mix of bools and numbers reads as floats.
+    kind b, and both are rejected. A bool among numbers reads as 1 or 0, so
+    wherever the numbers read are 0 or 1 the JSON values there must not be
+    bools. null, or an integer past the int64 range, gives kind O: then
+    every value must be a JSON number, and the values are converted with
+    dtype float64, so an integer past the float range raises OverflowError.
     """
     arr = np.asarray(value)
     kind = arr.dtype.kind
-    if kind == "f":
-        return arr
-    if kind in "iu":
-        return arr.astype(np.float64)
+    if kind in "fiu":
+        zero_or_one = (arr == 0) | (arr == 1)
+        if zero_or_one.any() and any(type(reduce(getitem, index, value)) is bool
+                                     for index in np.argwhere(zero_or_one)):
+            raise ValueError(f"{key} must hold only JSON numbers")
+        return arr if kind == "f" else arr.astype(np.float64)
     if kind == "O" and {*map(type, arr.ravel())} <= _NUMBER_TYPES:
         return np.asarray(value, dtype=np.float64)
     raise ValueError(f"{key} must hold only JSON numbers")
@@ -332,117 +338,101 @@ def _stream_records(path):
                 for r in raw_dets]
 
 
-def _unit_samples(kind, record, frames_key, vectors_key, dim=None):
-    """[(frame, unit vector)] from one gallery entry or track record.
+def _unit_rows(key, frames, vectors, dim) -> np.ndarray:
+    """The vectors of one gallery entry or track, normalized row by row:
+    one length, `dim` unless it is None, only JSON numbers, a 2-D matrix,
+    and every row finite and not zero. A bad row is named by its frame."""
+    lengths = sorted({len(vec) for vec in vectors})
+    if len(lengths) > 1:
+        raise ValueError(f"{key} have mixed lengths {lengths}")
+    if dim is not None and lengths[0] != dim:
+        raise ValueError(f"{key} have length {lengths[0]}, not {dim}")
+    mat = _float_array(key, vectors)
+    if mat.ndim != 2:
+        raise ValueError(f"{key} must be vectors of numbers")
+    try:  # in blocks, so that a writer's float32 rows are widened to float64 64 at a time
+        for start in range(0, len(mat), 64):
+            l2_normalize_rows(mat[start:start + 64], out=mat[start:start + 64])
+        return mat
+    except InvalidEmbedding as exc:
+        raise ValueError(f"frame {frames[start + exc.row]}: {exc}") from None
 
-    Frames must be JSON integers (not bools or floats). The vectors are
-    read as one matrix and normalized row by row. They must share one
-    length, and that length must be `dim` unless it is None. The label
-    must be a JSON string. Errors name the record's label; a count
-    mismatch gives both counts, mixed lengths give the lengths, and a zero
-    or non-finite vector the frame of its sample.
-    """
-    label = _text(f"{kind} label", record["label"])
-    try:
-        frames, vectors = record[frames_key], record[vectors_key]
-        if len(frames) != len(vectors):
-            raise ValueError(
-                f"{len(frames)} {frames_key} but {len(vectors)} {vectors_key}")
-        for frame in frames:
-            if type(frame) is not int:
-                raise ValueError(f"{frames_key} must be JSON integers: {frame!r}")
-        if not vectors:
-            return []
-        lengths = sorted({len(vec) for vec in vectors})
-        if len(lengths) > 1:
-            raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
-        if dim is not None and lengths[0] != dim:
-            raise ValueError(f"{vectors_key} have length {lengths[0]}, not {dim}")
-        mat = _float_array(vectors_key, vectors)
-        if mat.ndim != 2:
-            raise ValueError(f"{vectors_key} must be vectors of numbers")
+
+def _records(kind, records, vectors_key, dim=None):
+    """(record, label, frames, unit rows) of each gallery entry or track
+    record: a JSON string label that no earlier record holds, one JSON
+    integer frame per vector, and vectors under _unit_rows' rule, of width
+    `dim` or else the first record's. Errors name the label. A record with
+    no vectors has no rows, and its constructor refuses it."""
+    seen = set()
+    for rec in records:
+        label = _text(f"{kind} label", rec["label"])
         try:
-            l2_normalize_rows(mat, out=mat)
-        except InvalidEmbedding as exc:
-            raise ValueError(f"frame {frames[exc.row]}: {exc}") from None
-        return list(zip(frames, mat))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{kind} {label!r}: {exc}") from None
+            if label in seen:
+                raise ValueError("duplicate label")
+            seen.add(label)
+            frames, vectors = rec["frames"], rec[vectors_key]
+            if len(frames) != len(vectors):
+                raise ValueError(f"{len(frames)} frames but {len(vectors)} {vectors_key}")
+            for frame in frames:
+                if type(frame) is not int:
+                    raise ValueError(f"frames must be JSON integers: {frame!r}")
+            rows = _unit_rows(vectors_key, frames, vectors, dim) if vectors else []
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} {label!r}: {exc}") from None
+        if dim is None and vectors:
+            dim = rows.shape[1]
+        yield rec, label, frames, rows
 
 
-def _check_vectors(kind, label, frames, vectors_key, vectors, dim):
-    """The width of one gallery entry's or track's vectors, checked as
-    _unit_samples reads them back, in its words: 1-D vectors of one length,
-    that length `dim` unless it is None, and each one finite and not all
-    zero once narrowed to the float32 values that float_arrays writes."""
-    try:
-        shapes = sorted({np.shape(vec) for vec in vectors})
-        if any(len(shape) != 1 for shape in shapes):
-            raise ValueError(f"{vectors_key} must be vectors of numbers")
-        if len(shapes) > 1:
-            lengths = [shape[0] for shape in shapes]
-            raise ValueError(f"{vectors_key} have mixed lengths {lengths}")
-        with np.errstate(over="ignore"):  # past the float32 range is written as Infinity
-            rows = np.asarray(vectors, dtype=np.float32)
-        width = rows.shape[1]
-        if dim is not None and width != dim:
-            raise ValueError(f"{vectors_key} have length {width}, not {dim}")
-        bad = np.flatnonzero(~(np.isfinite(rows).all(axis=1) & rows.any(axis=1)))
-        if bad.size:
-            raise ValueError(
-                f"frame {frames[bad[0]]}: cannot normalize a zero or non-finite vector")
-        return width
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{kind} {label!r}: {exc}") from None
-
-
-def _write_float_rows(fh, rows) -> None:
-    """Write the JSON text of each of `rows` to `fh`, comma-separated,
-    formatting 64 rows at a time."""
-    for start in range(0, len(rows), 64):
-        fh.write(("," if start else "") + ",".join(float_arrays(rows[start:start + 64])))
+def _write_records(path, head, kind, vectors_key, records) -> None:
+    """Write head(width of the records, or None), then one object per
+    (label, fields, frames, vectors) of `records`; fields is the text of
+    the keys between the label and the frames. _records first reads every
+    record's float32 values as they will be written, so a ValueError in
+    the readers' words leaves no file and no change behind. The text of 64
+    vectors is formatted at a time."""
+    records = [(str(label), fields, [int(f) for f in frames], vectors)
+               for label, fields, frames, vectors in records]
+    with np.errstate(over="ignore"):  # past the float32 range is written as Infinity
+        dims = [rows.shape[1] for *_, rows in _records(kind, (
+            {"label": label, "frames": frames,
+             vectors_key: [np.asarray(v, dtype=np.float32) for v in vectors]}
+            for label, _, frames, vectors in records), vectors_key)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head(dims[0] if dims else None))
+        for i, (label, fields, frames, vectors) in enumerate(records):
+            fh.write('%s{"label":%s%s,"frames":%s,"%s":[' % (
+                "," if i else "", json.dumps(label), fields, _int_array(frames), vectors_key))
+            for start in range(0, len(vectors), 64):
+                fh.write(("," if start else "") + ",".join(float_arrays(vectors[start:start + 64])))
+            fh.write("]}")
+        fh.write("]}\n")
 
 
 def write_gallery(gallery: Gallery, path) -> None:
-    """Write a gallery as a single JSON document (labels sorted).
-
-    Every prototype is checked before the file is opened, so a ValueError
-    naming the entry leaves no file and no change behind: the vectors must
-    share one width, and each must be finite and not zero."""
+    """Write a gallery as a single JSON document (labels sorted); what
+    read_gallery would refuse raises ValueError and writes nothing."""
     if not gallery.entries:
         raise EmptyGallery("refusing to write a gallery with no prototypes")
-    dim = None
-    for label in gallery.labels:
-        protos = gallery.entries[label]
-        dim = _check_vectors("entry", label, [p.source_frame for p in protos],
-                             "prototypes", [p.vector for p in protos], dim)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%s,'
-                 '"entries":[' % (GALLERY_VERSION, json.dumps(gallery.method),
-                                  json.dumps(gallery.k), json.dumps(gallery.seed),
-                                  json.dumps(dim)))
-        for i, label in enumerate(gallery.labels):
-            protos = gallery.entries[label]
-            fh.write('%s{"label":%s,"frames":%s,"prototypes":[' % (
-                "," if i else "", json.dumps(label),
-                _int_array([p.source_frame for p in protos])))
-            _write_float_rows(fh, [p.vector for p in protos])
-            fh.write("]}")
-        fh.write("]}\n")
+    _write_records(
+        path, lambda dim: '{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%d,'
+        '"entries":[' % (GALLERY_VERSION, json.dumps(gallery.method), json.dumps(gallery.k),
+                         json.dumps(gallery.seed), dim),
+        "entry", "prototypes",
+        [(label, "", [p.source_frame for p in protos], [p.vector for p in protos])
+         for label, protos in sorted(gallery.entries.items())])
 
 
 def read_gallery(path) -> Gallery:
     """Read a gallery; every prototype must have the declared embedding_dim,
     and every entry a label of its own."""
     doc = _read_document(path, "gallery", GALLERY_VERSION)
-    entries = {}
     try:
         dim = _size("embedding_dim", doc["embedding_dim"])
-        for ent in doc["entries"]:
-            samples = _unit_samples("entry", ent, "frames", "prototypes", dim)
-            if ent["label"] in entries:
-                raise ValueError(f"entry {ent['label']!r}: duplicate label")
-            entries[ent["label"]] = [Prototype(vec, f) for f, vec in samples]
+        entries = {label: [Prototype(vec, f) for f, vec in zip(frames, rows)]
+                   for _, label, frames, rows in _records(
+                       "entry", doc["entries"], "prototypes", dim)}
         return Gallery(entries=entries, method=doc["method"],
                        k=doc.get("k"), seed=doc.get("seed"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -450,42 +440,24 @@ def read_gallery(path) -> Gallery:
 
 
 def write_tracks(tracks, path) -> None:
-    """Write training tracks as a single JSON document (labels sorted),
-    track by track, so that the text of only 64 embeddings is held at once.
-
-    Every track is checked before the file is opened, as write_gallery
-    checks its entries: one width for all the embeddings, each finite and
-    not zero."""
-    tracks = sorted(tracks, key=lambda t: t.label)
-    dim = None
-    for t in tracks:
-        dim = _check_vectors("track", t.label, [f for f, _ in t.samples],
-                             "embeddings", [e for _, e in t.samples], dim)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"version":%d,"tracks":[' % TRACKS_VERSION)
-        for i, t in enumerate(tracks):
-            fh.write('%s{"label":%s,"fps":%s,"frames":%s,"embeddings":[' % (
-                "," if i else "", json.dumps(t.label), float_text(t.fps),
-                _int_array([f for f, _ in t.samples])))
-            _write_float_rows(fh, [e for _, e in t.samples])
-            fh.write("]}")
-        fh.write("]}\n")
+    """Write training tracks as a single JSON document (labels sorted);
+    what read_tracks would refuse raises ValueError and writes nothing."""
+    _write_records(
+        path, lambda dim: '{"version":%d,"tracks":[' % TRACKS_VERSION, "track", "embeddings",
+        [(t.label, ',"fps":' + float_text(t.fps), [f for f, _ in t.samples],
+          [e for _, e in t.samples]) for t in sorted(tracks, key=lambda t: t.label)])
 
 
 def read_tracks(path):
-    """Read training tracks; every embedding must have the first track's width."""
+    """Read training tracks: every embedding of the first track's width,
+    every track a label of its own."""
     doc = _read_document(path, "tracks", TRACKS_VERSION)
-    out = []
-    dim = None
     try:
-        for t in doc["tracks"]:
-            samples = _unit_samples("track", t, "frames", "embeddings", dim)
-            fps = _number(f"track {t['label']!r}: fps", t["fps"])
-            out.append(TrainingTrack(t["label"], samples, fps))
-            dim = len(samples[0][1])  # TrainingTrack rejects an empty track
+        return [TrainingTrack(label, list(zip(frames, rows)),
+                              _number(f"track {label!r}: fps", rec["fps"]))
+                for rec, label, frames, rows in _records("track", doc["tracks"], "embeddings")]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad tracks document: {exc}")
-    return out
 
 
 def write_truth(stream, path) -> None:

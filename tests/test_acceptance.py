@@ -1,4 +1,4 @@
-"""Acceptance suite: ten criteria, one test each.
+"""Acceptance suite: eleven criteria, one test each.
 
 Every test prints a single "criterion N: PASS/FAIL" line (visible with
 pytest -s; under plain pytest the verdict is the test outcome itself).
@@ -16,6 +16,7 @@ import pytest
 
 from prototrack.cli import main as cli_main
 from prototrack.evaluate import (
+    _baseline_pass,
     pareto_front,
     run_baseline,
     measure_tracker,
@@ -33,7 +34,7 @@ from prototrack.stream_io import (
     write_results,
     write_stream,
 )
-from prototrack.synth import Event, ScenarioSpec, generate, split_train_test
+from prototrack.synth import Event, ScenarioSpec, generate, load_scenario, split_train_test
 from prototrack.tracker import TrackerConfig, run, run_initial_window, step
 from prototrack.types import (
     UNKNOWN,
@@ -531,3 +532,32 @@ def test_criterion_10_format_round_trips(tmp_path):
                 for p, q in zip(gallery.entries[label], back.entries[label]):
                     assert p.source_frame == q.source_frame
                     assert np.linalg.norm(p.vector - q.vector) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# 11. the paper's accuracy claim: history repairs what recognition misses
+
+
+def test_criterion_11_history_beats_per_detection_recognition():
+    with criterion(11, "on the classroom scenario the tracker beats per-detection "
+                       "recognition on its own gallery by ≥ 0.10 and the exhaustive "
+                       "baseline by ≥ 0.03, classifying ≤ 15% of detections"):
+        # margins, not pinned values: the accuracies move with the BLAS and
+        # numpy version, the margins hold across the placements and seeds tried
+        spec = load_scenario(DATA / "classroom_scenario.cfg")
+        tracks, test = split_train_test(generate(spec), spec.train_seconds)
+        gallery = build_gallery_kmeans(tracks, 10, seed=0)
+        recognizer = RecognizerConfig(unknown_threshold=0.65)
+        state = run(test.frames, gallery, TrackerConfig(fps=spec.fps, recognizer=recognizer),
+                    test.frame_area)
+        ours = score(state.results, test).average
+        # the tracker with its history switched off: the same gallery, every
+        # detection classified on its own
+        per_detection = score(_baseline_pass(test.frames, GalleryIndex(gallery), recognizer),
+                              test).average
+        baseline = score(run_baseline(test.frames, tracks, recognizer, reps=1)[0],
+                         test).average
+        detections = sum(len(dets) for _, dets in test.frames)
+        assert ours - per_detection >= 0.10, (ours, per_detection)
+        assert ours - baseline >= 0.03, (ours, baseline)
+        assert state.classify_calls <= 0.15 * detections, (state.classify_calls, detections)

@@ -237,6 +237,24 @@ def test_mixed_width_tracks_exit_2(demo, tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("baseline", lambda d: ["--stream", d / "stream.jsonl"]),
+    ("gallery", lambda d: []),
+    ("sweep", lambda d: ["--stream", d / "stream.jsonl", "--truth", d / "truth.json", "--k", 1]),
+], ids=["baseline", "gallery", "sweep"])
+def test_tracks_with_a_repeated_label_exit_2(demo, tmp_path, capsys, command, inputs):
+    """Every subcommand that reads a tracks file refuses a label that two
+    tracks share, naming it, and writes nothing."""
+    tracks = tmp_path / "twice.json"
+    for doc in edited_copy(demo / "tracks.json", tracks, 1):
+        doc["tracks"][1]["label"] = label = doc["tracks"][0]["label"]
+    out = tmp_path / "out"
+    code = run_cli(command, *inputs(demo), "--tracks", tracks, "--out", out)
+    assert code == 2
+    assert f"bad tracks document: track '{label}': duplicate label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda protos: protos[0].pop(), "prototypes have mixed lengths"),
     (lambda protos: [vec.pop() for vec in protos], "prototypes have length"),

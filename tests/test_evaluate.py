@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prototrack import evaluate
-from prototrack.errors import MisalignedStreams
+from prototrack.errors import DuplicateLabel, MisalignedStreams
 from prototrack.evaluate import (
     SweepPoint,
     TimingReport,
@@ -227,6 +227,16 @@ def test_baseline_matches_against_every_training_sample():
     e = results[0].entries[0]
     assert e.label == "alice"
     assert e.distance < 1e-9
+
+
+def test_baseline_refuses_tracks_that_share_a_label():
+    # the index would keep only the last of the two, and its samples alone
+    # would stand for the label
+    frames = [(0, [det(one_hot(0))])]
+    alice, bob = tracks_one_hot()
+    with pytest.raises(DuplicateLabel, match="'alice'"):
+        run_baseline(frames, [alice, TrainingTrack("alice", bob.samples, 30.0)],
+                     RecognizerConfig(), reps=1)
 
 
 def as_tuples(results):

@@ -472,6 +472,8 @@ NON_NUMBER_VECTORS = [
     pytest.param(["1.0"] + [0.0] * (DIM - 1), id="one-string"),
     pytest.param([1.0, None] + [0.0] * (DIM - 2), id="null"),
     pytest.param([True] + [False] * (DIM - 1), id="bools"),
+    pytest.param([True] + [0.0] * (DIM - 1), id="bool-among-floats"),
+    pytest.param([2, True] + [0] * (DIM - 2), id="bool-among-ints"),
     pytest.param([10 ** 30, None] + [0.0] * (DIM - 2), id="big-int-and-null"),
     pytest.param([{"v": 1.0}] + [0.0] * (DIM - 1), id="object"),
 ]
@@ -497,8 +499,6 @@ def test_stream_nested_embedding_rejected(tmp_path):
     ([0, 3, 0, 4, 0, 0, 0, 0], [0.0, 0.6, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0]),
     ([2 ** 63, 0, 0, 0, 0, 0, 0, 0], unit(0)),  # past int64
     ([10 ** 30, 0, 0, 0, 0, 0, 0, 0], unit(0)),  # past uint64: numpy gives kind O
-    # the remaining gap: a bool among numbers reads as 1.0 or 0.0
-    ([True, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], unit(0)),
 ])
 def test_stream_integer_embedding_values_load_as_floats(tmp_path, vector, want):
     path = stream_with_line_3(tmp_path, lambda det: det.update(embedding=vector))
@@ -948,6 +948,23 @@ def test_tracks_errors_name_the_track(tmp_path):
         read_tracks(path)
 
 
+def test_tracks_labels_must_be_unique(tmp_path):
+    path, doc = tracks_doc(tmp_path)
+    doc["tracks"].append(dict(doc["tracks"][0]))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad tracks document: track 'amy': duplicate label$"):
+        read_tracks(path)
+
+
+def test_write_tracks_refuses_a_repeated_label(tmp_path):
+    rng = np.random.default_rng(9)
+    tracks = [TrainingTrack("amy", [(i, rand_unit(rng)) for i in range(3)], 30.0)
+              for _ in range(2)]
+    with pytest.raises(ValueError, match="^track 'amy': duplicate label$"):
+        write_tracks(tracks, tmp_path / "t.json")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_tracks_ragged_track_rejected(tmp_path):
     path, doc = tracks_doc(tmp_path)
     doc["tracks"][0]["embeddings"][3].pop()
@@ -1005,6 +1022,25 @@ def test_tracks_read_as_written_bit_for_bit(tmp_path):
         for vec, (_, got) in zip(rec["embeddings"], track.samples):
             want = l2_normalize(np.asarray(vec, dtype=np.float64))
             assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
+def test_long_tracks_read_bit_for_bit_and_bad_rows_named_past_64(tmp_path):
+    """A track is normalized 64 rows at a time: past the first 64 rows the
+    bits still equal one l2_normalize per vector, and a bad row is named by
+    its own frame."""
+    rng = np.random.default_rng(19)
+    path = tmp_path / "t.json"
+    write_tracks([TrainingTrack("amy", [(3 * f, rand_unit(rng)) for f in range(200)], 30.0)],
+                 path)
+    doc = json.loads(path.read_text())
+    [back] = read_tracks(path)
+    for vec, (_, got) in zip(doc["tracks"][0]["embeddings"], back.samples):
+        want = l2_normalize(np.asarray(vec, dtype=np.float64))
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+    doc["tracks"][0]["embeddings"][150] = [0.0] * DIM
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="^bad tracks document: track 'amy': frame 450: "):
+        read_tracks(path)
 
 
 def test_tracks_unsupported_version(tmp_path):

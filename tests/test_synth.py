@@ -16,6 +16,7 @@ from prototrack.synth import (
     ScenarioSpec,
     default_train_seconds,
     generate,
+    load_scenario,
     parse_scenario,
     split_train_test,
 )
@@ -234,6 +235,24 @@ def test_generated_files_match_pinned_digests():
     pinned = json.loads((DATA / mod.DIGESTS_NAME).read_text(encoding="utf-8"))
     assert sorted(pinned) == sorted(mod.SCENARIOS)
     assert mod.digests() == pinned
+
+
+def test_classroom_scenario_is_what_its_script_writes(tmp_path):
+    """classroom_scenario.cfg, acceptance criterion 11's input, is the
+    script's output, and its occlusions follow the script's placement rule."""
+    spec = importlib.util.spec_from_file_location(
+        "make_classroom_scenario", DATA / "make_classroom_scenario.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    mod.main(tmp_path / "classroom.cfg")
+    committed = DATA / "classroom_scenario.cfg"
+    assert (tmp_path / "classroom.cfg").read_bytes() == committed.read_bytes()
+    spec = load_scenario(committed)
+    for label in spec.labels:
+        starts = [e.start for e in spec.events if e.subject == label]
+        assert 1200 <= starts[0] < 1260 and starts[-1] < 1800 - 14
+        assert all(50 <= b - a <= 70 for a, b in zip(starts, starts[1:]))
+    assert all(e.kind == "occlusion" and 3 <= e.length <= 14 for e in spec.events)
 
 
 # ---------------------------------------------------------------------------
