@@ -64,6 +64,9 @@ _SCALE10 = np.array([10 ** k for k in range(4)], dtype=np.int64)
 # a token's first word: [separator]["-" or " "]["0"]["."], separator left 0
 _HEAD = int.from_bytes(b"\0 0.", "little")
 _MINUS = _HEAD ^ int.from_bytes(b"\0-0.", "little")  # the bits " " -> "-" flips
+# the most values one kernel pass spells: its int64 temporaries then stay
+# within a 2 MB L2 cache (64 rows at 512-d)
+_PASS_VALUES = 2 ** 15
 # the 4 words of a fallback token: "%.9g", "%.1f" or "%s", separator left 0
 _PLACEHOLDERS = np.frombuffer(
     b"".join(b"\0" + p.ljust(15) for p in (b"%.9g", b"%.1f", b"%s")),
@@ -129,12 +132,17 @@ def float_arrays(values) -> list:
     it, because doubles lie far closer together than such decimals. The
     numbers are laid out 16 bytes each, each after its separator (a comma,
     or a newline before a vector's first), and one bytes.translate drops
-    the blanks.
+    the blanks. At most _PASS_VALUES values (or one vector) go through
+    each pass.
     """
     v = np.asarray(values, dtype=np.float32)
     if not v.size:  # no vector, or vectors of length 0
         return ["[]"] * len(v)
     _, size = v.shape
+    rows = max(1, _PASS_VALUES // size)
+    if len(v) > rows:
+        return [text for start in range(0, len(v), rows)
+                for text in float_arrays(v[start:start + rows])]
     v = v.reshape(-1)
     words, covered = _decimal_words(v)
     rest = np.flatnonzero(~covered)

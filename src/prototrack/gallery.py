@@ -125,6 +125,9 @@ def kmeans(points, k, seed, max_iters=100):
         array mapping each point to its cluster. Every cluster is non-empty;
         an empty cluster is repaired by stealing the point currently
         farthest from its own centroid.
+
+    The seeding, each Lloyd step and snap_to_medoids take their squared
+    distances from one rule, _sq_distances: one matrix product per call.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -138,11 +141,9 @@ def kmeans(points, k, seed, max_iters=100):
     n = len(pts)
     k = min(k, n)
 
-    rng = np.random.default_rng(seed)
-    centroids = _plus_plus_seed(pts, k, rng)
-
-    assignment = None
     p2 = _sq_norms(pts)  # the points never change, so neither do their norms
+    centroids = pts[_plus_plus_seed(pts, k, np.random.default_rng(seed), p2)]
+    assignment = None
     for _ in range(max_iters):
         d2 = _sq_distances(pts, centroids, p2)
         new_assignment = np.argmin(d2, axis=1)
@@ -154,11 +155,15 @@ def kmeans(points, k, seed, max_iters=100):
     return centroids, assignment
 
 
-def _plus_plus_seed(pts, k, rng):
+def _plus_plus_seed(pts, k, rng, p2):
+    """The indices of k seed points, each drawn with probability in
+    proportion to its squared distance from the nearest one drawn before;
+    p2 is _sq_norms(pts)."""
     n = len(pts)
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, k):
+    d2 = np.full(n, np.inf)
+    while len(chosen) < k:
+        np.minimum(d2, _seed_sq_distances(pts, chosen[-1], p2), out=d2)
         total = float(d2.sum())
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
@@ -166,8 +171,19 @@ def _plus_plus_seed(pts, k, rng):
             # all mass sits on already-chosen points (duplicates)
             idx = int(rng.integers(n))
         chosen.append(idx)
-        np.minimum(d2, np.sum((pts - pts[idx]) ** 2, axis=1), out=d2)
-    return pts[chosen].copy()
+    return chosen
+
+
+def _seed_sq_distances(pts, idx, p2):
+    """Squared distances of every point from pts[idx], by _sq_distances.
+
+    Where the true distance is zero the product can leave a residue of a
+    few ulps of p2, which would give a seed's duplicates weight in the next
+    draw; the rows that close to the seed take the exact row sum instead."""
+    d2 = _sq_distances(pts, pts[idx:idx + 1], p2)[:, 0]
+    near = np.flatnonzero(d2 <= 1e-6 * (p2 + p2[idx]))
+    d2[near] = np.sum((pts[near] - pts[idx]) ** 2, axis=1)
+    return d2
 
 
 def _sq_norms(x):

@@ -377,12 +377,22 @@ def _records(kind, records, vectors_key, dim=None):
             for frame in frames:
                 if type(frame) is not int:
                     raise ValueError(f"frames must be JSON integers: {frame!r}")
-            rows = _unit_rows(vectors_key, frames, vectors, dim) if vectors else []
+            rows = _unit_rows(vectors_key, frames, vectors, dim) if len(vectors) else []
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{kind} {label!r}: {exc}") from None
-        if dim is None and vectors:
+        if dim is None and len(vectors):
             dim = rows.shape[1]
         yield rec, label, frames, rows
+
+
+def _float32_rows(vectors):
+    """A record's vectors as one float32 matrix, stacked once; vectors of
+    more than one shape as a list of float32 arrays, which _records refuses
+    in the readers' words."""
+    try:
+        return np.array(vectors, dtype=np.float32)
+    except ValueError:
+        return [np.asarray(v, dtype=np.float32) for v in vectors]
 
 
 def _write_records(path, head, kind, vectors_key, records) -> None:
@@ -396,8 +406,7 @@ def _write_records(path, head, kind, vectors_key, records) -> None:
                for label, fields, frames, vectors in records]
     with np.errstate(over="ignore"):  # past the float32 range is written as Infinity
         dims = [rows.shape[1] for *_, rows in _records(kind, (
-            {"label": label, "frames": frames,
-             vectors_key: [np.asarray(v, dtype=np.float32) for v in vectors]}
+            {"label": label, "frames": frames, vectors_key: _float32_rows(vectors)}
             for label, _, frames, vectors in records), vectors_key)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head(dims[0] if dims else None))

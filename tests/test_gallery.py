@@ -20,6 +20,8 @@ from prototrack.gallery import (
     Prototype,
     TrainingTrack,
     _cluster_means,
+    _plus_plus_seed,
+    _sq_norms,
     build_gallery_kmeans,
     build_gallery_sampling,
     kmeans,
@@ -188,6 +190,39 @@ def test_kmeans_deterministic_for_fixed_seed():
     b = kmeans(pts, k=5, seed=42)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+def reference_seed(pts, k, rng):
+    """k-means++ seeding with each step's squared distances from a broadcast
+    subtract, a square and a row sum, as it was first written."""
+    n = len(pts)
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        chosen.append(idx)
+        np.minimum(d2, np.sum((pts - pts[idx]) ** 2, axis=1), out=d2)
+    return chosen
+
+
+def test_plus_plus_seed_picks_what_the_row_sum_seeding_picks():
+    # the matrix-product distances differ from the row sums in the last
+    # bits; the draws they feed must not
+    rng = np.random.default_rng(61)
+    for trial in range(300):
+        d = (2, 8, 128, 512)[trial % 4]
+        noise = 0.0 if trial % 3 == 0 else rng.uniform(0.0, 0.2)
+        centres = rng.normal(size=(int(rng.integers(1, 9)), d))
+        n = int(rng.integers(1, 160))
+        pts = centres[rng.integers(len(centres), size=n)] + noise * rng.normal(size=(n, d))
+        if trial % 5 == 0:
+            pts = pts[rng.integers(n, size=n)]  # duplicated rows
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        # k past the distinct rows reaches the draw for all-duplicate mass
+        k = int(rng.integers(1, min(n, 24) + 1))
+        got = _plus_plus_seed(pts, k, np.random.default_rng(trial), _sq_norms(pts))
+        assert got == reference_seed(pts, k, np.random.default_rng(trial)), (trial, n, d, k)
 
 
 def add_at_means(pts, assignment, k):

@@ -220,6 +220,17 @@ def test_writer_fills_each_row_with_its_own_fallbacks(tmp_path):
     assert_written_canonically(tmp_path, rows[::-1])
 
 
+def test_float_arrays_over_many_values_spell_each_row_alone():
+    # a call past 2**15 values is formatted in passes of whole rows; each
+    # row keeps its own text and its own fallbacks
+    rng = np.random.default_rng(5)
+    others = np.array([7.0, 1e-6, 1e12, -0.0, np.nan, np.inf])
+    for n, width in ((65, 512), (20_000, 2), (3, 40_000)):
+        rows = rng.normal(scale=0.05, size=(n, width))
+        rows.flat[rng.choice(rows.size, size=n, replace=False)] = others[rng.integers(6, size=n)]
+        assert float_arrays(rows) == [text for row in rows for text in float_arrays([row])]
+
+
 def canonical_list(values):
     return [canonical_float(v) for v in np.asarray(values, dtype=np.float32)]
 
