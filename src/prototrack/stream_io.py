@@ -17,6 +17,11 @@ strings or bools. The values of embedding and prototype vectors must be
 JSON numbers too; a string, a null or a bool, alone or among numbers, is
 rejected.
 
+A detection record may hold "landmarks", five facial keypoints (eyes, nose
+tip, mouth corners) as [x, y] pairs. Nothing downstream reads them: the
+reader checks them and drops them, and write_stream spells for every
+detection the five keypoints at fixed fractions of its box (_KEYPOINTS).
+
 The writers spell vectors, and each landmark point as a pair (a vector of
 two), with floattext.float_arrays, 64 rows (or the rows of 64 frames) per
 call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
@@ -54,7 +59,6 @@ from .types import (
     Detection,
     FrameEntry,
     FrameResult,
-    Landmarks,
     l2_normalize_rows,
 )
 
@@ -172,7 +176,6 @@ class StreamHeader:
     frame_width: int
     frame_height: int
     embedding_dim: int
-    version: int = STREAM_VERSION
 
     def __post_init__(self):
         # an fps the tracker can run at with its default initial window
@@ -197,29 +200,36 @@ def _header_fields(h) -> dict:
             "frame_height": h.frame_height, "embedding_dim": h.embedding_dim}
 
 
-def _box_rows(boxes) -> list:
-    return float_arrays([(b.x, b.y, b.w, b.h) for b in boxes])
+def _box_matrix(boxes) -> np.ndarray:
+    """The (x, y, w, h) of each of `boxes`, one float64 row per box."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+# the keypoints write_stream spells for a box (eyes, nose tip, mouth corners),
+# as fractions of its width and height from its top-left corner
+_KEYPOINTS = np.array([(0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80)])
 
 
 def write_stream(path, header: StreamHeader, frames) -> None:
-    """Write a detection stream as JSONL (header line, then frame records)."""
+    """Write a detection stream as JSONL (header line, then frame records);
+    each detection's landmarks are its box's _KEYPOINTS."""
     frames = iter(frames)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump({"version": header.version, **_header_fields(header)}) + "\n")
+        fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
         # numbers are formatted 64 frames at a time, as in write_results
         while chunk := list(islice(frames, 64)):
             dets = [d for _, detections in chunk for d in detections]
-            boxes = iter(_box_rows([d.box for d in dets]))
-            marks = iter(float_arrays([p for d in dets if d.landmarks is not None
-                                       for p in d.landmarks.points]))
+            corners = _box_matrix([d.box for d in dets])
+            boxes = iter(float_arrays(corners))
+            # (x + fx * w, y + fy * h) in float64, five rows per box
+            marks = iter(float_arrays(
+                (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)))
             embeddings = iter(float_arrays([d.embedding for d in dets]))
             for frame_index, detections in chunk:
                 records = []
                 for d in detections:
-                    rec = '{"box":' + next(boxes)
-                    if d.landmarks is not None:
-                        rec += ',"landmarks":[' + ",".join(islice(marks, 5)) + "]"
-                    rec += ',"embedding":' + next(embeddings)
+                    rec = ('{"box":' + next(boxes) + ',"landmarks":[' + ",".join(islice(marks, 5))
+                           + '],"embedding":' + next(embeddings))
                     if d.gt_label is not None:
                         rec += ',"gt_label":' + json.dumps(d.gt_label)
                     records.append(rec + "}")
@@ -230,10 +240,10 @@ def write_stream(path, header: StreamHeader, frames) -> None:
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
     try:
         box = BoundingBox(*_numbers("box", rec["box"], 4))
-        landmarks = None
-        if "landmarks" in rec:
-            landmarks = Landmarks(tuple(tuple(_numbers("landmark point", p, 2))
-                                        for p in rec["landmarks"]))
+        if "landmarks" in rec:  # checked, then dropped
+            points = [_numbers("landmark point", p, 2) for p in rec["landmarks"]]
+            if len(points) != 5:
+                raise ValueError(f"expected 5 landmark points, got {len(points)}")
         emb = _float_array("embedding", rec["embedding"])
         gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -250,8 +260,7 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
         warnings.warn(
             f"line {lineno}: embedding norm drifted to {norm:.6f}; re-normalizing",
             stacklevel=3)
-    return Detection(frame=frame_index, box=box, embedding=emb / norm,
-                     landmarks=landmarks, gt_label=gt)
+    return Detection(frame=frame_index, box=box, embedding=emb / norm, gt_label=gt)
 
 
 def _json_line(raw, lineno):
@@ -383,6 +392,7 @@ def _records(kind, records, vectors_key, dim=None):
         if dim is None and len(vectors):
             dim = rows.shape[1]
         yield rec, label, frames, rows
+        del rec, vectors, rows  # before the next record is built
 
 
 def _float32_rows(vectors):
@@ -405,9 +415,10 @@ def _write_records(path, head, kind, vectors_key, records) -> None:
     records = [(str(label), fields, [int(f) for f in frames], vectors)
                for label, fields, frames, vectors in records]
     with np.errstate(over="ignore"):  # past the float32 range is written as Infinity
-        dims = [rows.shape[1] for *_, rows in _records(kind, (
+        # map keeps no record, so one float32 matrix is held at a time
+        dims = list(map(lambda checked: checked[3].shape[1], _records(kind, (
             {"label": label, "frames": frames, vectors_key: _float32_rows(vectors)}
-            for label, _, frames, vectors in records), vectors_key)]
+            for label, _, frames, vectors in records), vectors_key)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head(dims[0] if dims else None))
         for i, (label, fields, frames, vectors) in enumerate(records):
@@ -512,7 +523,7 @@ def write_results(results, path) -> None:
         # costs more than the boxes, one per file raises the peak memory
         for start in range(0, len(results), 64):
             chunk = results[start:start + 64]
-            boxes = iter(_box_rows([e.box for r in chunk for e in r.entries]))
+            boxes = iter(float_arrays(_box_matrix([e.box for r in chunk for e in r.entries])))
             for r in chunk:
                 entries = ",".join([
                     '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (

@@ -2,7 +2,9 @@
 
 The generator fabricates what a detector+embedder front end would produce
 for a multi-participant video: per-frame boxes on a jittered random walk and
-unit embeddings drawn around per-participant pose centers. Because every
+unit embeddings drawn around per-participant pose centers. It makes no
+facial landmarks: stream_io.write_stream spells each box's five keypoints
+when the stream is written. Because every
 draw order is fixed, the output is a pure function of the scenario spec, and events
 (occlusions, exits, background faces) do not perturb unrelated draws.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleSpec, InvalidSplit, ParseError
 from .gallery import TrainingTrack
-from .types import BoundingBox, Detection, Landmarks, l2_normalize_rows
+from .types import BoundingBox, Detection, l2_normalize_rows
 
 EVENT_OCCLUSION = "occlusion"
 EVENT_EXIT = "exit"
@@ -176,13 +178,6 @@ def _draw_separated(rng, dim, others, min_dist, budget):
         f"within {budget} draws")
 
 
-def _landmark_offsets(size):
-    """The five landmark offsets (eyes, nose tip, mouth corners) from the
-    top-left corner of a face box of side `size`."""
-    return tuple((fx * size, fy * size) for fx, fy in (
-        (0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80)))
-
-
 def _presence_masks(spec: ScenarioSpec):
     """Per-label boolean arrays: in_scene and detectable."""
     n = spec.n_frames
@@ -266,10 +261,8 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
     half = FACE_SIZE / 2
     x_hi, y_hi = width - half, height - half
     box_x_hi, box_y_hi = width - FACE_SIZE, height - FACE_SIZE
-    (ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey) = _landmark_offsets(FACE_SIZE)
     bg_half = BACKGROUND_FACE_SIZE / 2
     bg_x_hi, bg_y_hi = width - BACKGROUND_FACE_SIZE, height - BACKGROUND_FACE_SIZE
-    bg_marks = _landmark_offsets(BACKGROUND_FACE_SIZE)
 
     frames = []
     presence = {}
@@ -295,10 +288,7 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
             x = min(max(x - half, 0.0), box_x_hi)
             y = min(max(y - half, 0.0), box_y_hi)
             detections.append(Detection(
-                f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row],
-                Landmarks(((x + ax, y + ay), (x + bx, y + by), (x + cx, y + cy),
-                           (x + dx, y + dy), (x + ex, y + ey))),
-                label))
+                f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row], label))
             row += 1
         for j, (start, stop) in enumerate(windows):
             if not start <= f < stop:
@@ -314,8 +304,7 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
             x = min(max(bg_xs[j] - bg_half, 0.0), bg_x_hi)
             y = min(max(bg_ys[j] - bg_half, 0.0), bg_y_hi)
             detections.append(Detection(
-                f, BoundingBox(x, y, BACKGROUND_FACE_SIZE, BACKGROUND_FACE_SIZE), emb[row],
-                Landmarks(tuple((x + ox, y + oy) for ox, oy in bg_marks)), None))
+                f, BoundingBox(x, y, BACKGROUND_FACE_SIZE, BACKGROUND_FACE_SIZE), emb[row]))
             row += 1
         frames.append((f, detections))
         presence[f] = tuple(present_now)

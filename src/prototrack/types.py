@@ -6,10 +6,10 @@ they are re-normalized on load.
 
 The input records are compact because a long video holds one Detection
 per face per frame in memory. Detection and BoundingBox are frozen, slotted
-dataclasses with no per-instance __dict__. Landmarks packs its ten
-coordinates into one 80-byte buffer of float64 values and rebuilds the
-(x, y) pairs when `points` is read. Detection compares by identity;
-BoundingBox and Landmarks compare and hash by value.
+dataclasses with no per-instance __dict__. A Detection holds a face's box
+and embedding only: nothing downstream reads facial landmarks, so stream
+files may carry them but the records do not (see stream_io). Detection
+compares by identity; BoundingBox compares and hashes by value.
 
 The per-frame output records, FrameEntry and FrameResult, are immutable
 named tuples: the tracker builds several per frame, and a tuple is the
@@ -18,7 +18,6 @@ cheapest immutable record to build. They compare and hash by value.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
@@ -130,54 +129,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-_POINTS = struct.Struct("10d")
-
-
-@_frozen
-class Landmarks:
-    """Five facial keypoints (eyes, nose tip, mouth corners) in pixel space.
-
-    The coordinates are stored packed as float64; `points` rebuilds them as
-    a tuple of five (x, y) float pairs on each read.
-    """
-
-    __slots__ = ("_packed",)
-
-    def __init__(self, points):
-        if len(points) != 5:
-            raise ValueError(f"expected 5 landmark points, got {len(points)}")
-        (ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey) = points
-        try:
-            packed = _POINTS.pack(ax, ay, bx, by, cx, cy, dx, dy, ex, ey)
-        except struct.error:
-            raise TypeError(
-                f"landmark coordinates must be real numbers: {points!r}") from None
-        _set_packed(self, packed)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        ax, ay, bx, by, cx, cy, dx, dy, ex, ey = _POINTS.unpack(self._packed)
-        return ((ax, ay), (bx, by), (cx, cy), (dx, dy), (ex, ey))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return f"Landmarks(points={self.points!r})"
-
-    def __reduce__(self):
-        return Landmarks, (self.points,)
-
-
-# the slot's own setter: _frozen makes Landmarks.__setattr__ refuse every name
-_set_packed = Landmarks._packed.__set__
-
-
 @_frozen
 @dataclass(frozen=True, slots=True, eq=False)
 class Detection:
@@ -190,7 +141,6 @@ class Detection:
     frame: int
     box: BoundingBox
     embedding: np.ndarray
-    landmarks: Landmarks | None = None
     gt_label: str | None = None
 
 

@@ -1,8 +1,10 @@
 """Tests for the on-disk formats: streams, galleries, tracks, truth,
 results, and the CSV report writers."""
 
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,7 +49,6 @@ from prototrack.types import (
     Detection,
     FrameEntry,
     FrameResult,
-    Landmarks,
     l2_normalize,
 )
 
@@ -55,8 +56,13 @@ DIM = 8
 HEADER = StreamHeader(fps=30.0, frame_width=1920, frame_height=1080,
                       embedding_dim=DIM)
 BOX = BoundingBox(100.0, 100.0, 96.0, 96.0)
-POINTS = Landmarks(((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0),
-                    (9.0, 10.0)))
+# eyes, nose tip and mouth corners, as fractions of a box's width and height
+KEYPOINT_FRACTIONS = ((0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80))
+
+
+def keypoints(box):
+    """The five landmark points write_stream spells for `box`."""
+    return [[box.x + fx * box.w, box.y + fy * box.h] for fx, fy in KEYPOINT_FRACTIONS]
 
 
 def unit(i):
@@ -239,17 +245,15 @@ def test_record_writers_match_canonical_json(tmp_path):
     # nested arrays (landmarks), integral and signed-zero coordinates, labels
     # and scalars, each against json.dumps of the canonical values
     odd = np.array([-0.0, 96.0, 1e10, 0.1, -3.5e-7, 1e20, 2.5, 7.0])
-    marks = Landmarks(((0.0, -0.0), (1.5, 2.0), (1e9, 3.25), (4.0, 5.0),
-                       (6.0, 1e-5)))
     box = BoundingBox(-0.0, 1e10, 96.0, 0.1)
-    dets = [Detection(3, box, odd, landmarks=marks, gt_label="zoë"),
-            Detection(3, BOX, unit(2))]
+    dets = [Detection(3, box, odd, gt_label="zoë"), Detection(3, BOX, unit(2))]
     path = tmp_path / "s.jsonl"
     write_stream(path, HEADER, [(3, dets)])
     records = [{"box": canonical_list([box.x, box.y, box.w, box.h]),
-                "landmarks": [canonical_list(p) for p in marks.points],
+                "landmarks": [canonical_list(p) for p in keypoints(box)],
                 "embedding": canonical_list(odd), "gt_label": "zoë"},
                {"box": canonical_list([100, 100, 96, 96]),
+                "landmarks": [canonical_list(p) for p in keypoints(BOX)],
                 "embedding": canonical_list(unit(2))}]
     line = json.dumps({"frame": 3, "detections": records}, separators=(",", ":"))
     assert path.read_text().splitlines()[1] == line
@@ -269,7 +273,7 @@ def test_record_writers_match_canonical_json(tmp_path):
 
 def sample_frames(rng):
     return [
-        (0, [Detection(0, BOX, unit(0), landmarks=POINTS, gt_label="alice"),
+        (0, [Detection(0, BOX, unit(0), gt_label="alice"),
              Detection(0, BoundingBox(400.0, 100.0, 80.0, 90.0), unit(1))]),
         (1, []),  # a frame with no detections is a real record
         (2, [Detection(2, BOX, rand_unit(rng), gt_label="bob")]),
@@ -286,8 +290,7 @@ def test_stream_round_trip(tmp_path):
     assert [f for f, _ in got] == [0, 1, 2]
     d0, d1 = got[0][1]
     assert (d0.box, d0.gt_label) == (BOX, "alice")
-    assert d0.landmarks == POINTS
-    assert d1.landmarks is None and d1.gt_label is None
+    assert d1.gt_label is None
     assert got[1][1] == []
     for (_, orig), (_, back) in zip(frames, got):
         for a, b in zip(orig, back):
@@ -326,6 +329,9 @@ def test_stream_unsupported_version(tmp_path):
     path = tmp_path / "s.jsonl"
     write_stream(path, HEADER, [])
     doc = json.loads(path.read_text().splitlines()[0])
+    assert doc["version"] == STREAM_VERSION
+    with pytest.raises(TypeError):  # so the writer writes no version its reader refuses
+        StreamHeader(30.0, 1920, 1080, DIM, version=2)
     doc["version"] = 99
     path.write_text(json.dumps(doc) + "\n")
     with pytest.raises(UnsupportedVersion):
@@ -394,8 +400,9 @@ def test_stream_header_sizes_must_be_positive_integers(tmp_path, key, bad):
     with pytest.raises(ParseError, match=f"line 1: .*{key} must be an integer >= 1") as exc:
         read_stream(path)
     assert exc.value.line_number == 1
+    del header["version"]  # a file's key, not a StreamHeader field
     with pytest.raises(ValueError, match=key):
-        StreamHeader(**dict(header, version=1))
+        StreamHeader(**header)
 
 
 def test_stream_header_size_of_one_accepted(tmp_path):
@@ -410,8 +417,7 @@ def test_stream_header_size_of_one_accepted(tmp_path):
 def stream_with_line_3(tmp_path, edit):
     """A three-frame stream whose third line's detection `edit` changed."""
     path = tmp_path / "s.jsonl"
-    write_stream(path, HEADER, [(f, [Detection(f, BOX, unit(0), landmarks=POINTS)])
-                                for f in range(3)])
+    write_stream(path, HEADER, [(f, [Detection(f, BOX, unit(0))]) for f in range(3)])
     lines = path.read_text().splitlines(keepends=True)
     rec = json.loads(lines[2])
     edit(rec["detections"][0])
@@ -462,11 +468,40 @@ def test_stream_box_and_landmarks_must_be_json_numbers(tmp_path, field, value):
 def test_stream_integer_box_and_landmarks_load_as_floats(tmp_path):
     path = stream_with_line_3(tmp_path, lambda det: det.update(
         box=[100, 100, 96, 96], landmarks=[[2 * i + 1, 2 * i + 2] for i in range(5)]))
-    det = read_stream(path)[1][1][1][0]  # line 3 is frame 1
-    assert det.box == BOX and det.landmarks == POINTS
-    box = det.box
-    assert {type(v) for v in (box.x, box.y, box.w, box.h, *sum(det.landmarks.points, ()))} \
-        == {float}
+    box = read_stream(path)[1][1][1][0].box  # line 3 is frame 1
+    assert box == BOX
+    assert {type(v) for v in (box.x, box.y, box.w, box.h)} == {float}
+
+
+def test_write_stream_spells_box_keypoints_and_the_reader_drops_landmarks(tmp_path):
+    """write_stream spells each box's five keypoints as its landmarks. The
+    reader checks landmarks and drops them: a stream reads as the same
+    detections with them absent, as written, or as other valid points."""
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, sample_frames(np.random.default_rng(29)))
+    header, *lines = path.read_text().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    dets = [det for rec in records for det in rec["detections"]]
+    assert [det["landmarks"] for det in dets] == [
+        [canonical_list(p) for p in keypoints(BoundingBox(*det["box"]))] for det in dets]
+
+    def read_with(edit):
+        for det in dets:
+            edit(det)
+        path.write_text(header + "".join(json.dumps(rec) + "\n" for rec in records))
+        return [(d.frame, d.box, d.embedding.tolist(), d.gt_label)
+                for _, frame in read_stream(path)[1] for d in frame]
+
+    as_written = read_with(lambda det: None)
+    assert len(as_written) == 3
+    other = [[-1e6, 0], [2.5, 7], [0, -0.0], [3, -4], [1e30, 1e-30]]
+    assert read_with(lambda det: det.update(landmarks=other)) == as_written
+    assert read_with(lambda det: det.pop("landmarks")) == as_written
+    for count in (4, 6):
+        records[0]["detections"][0]["landmarks"] = [[1.0, 2.0]] * count
+        with pytest.raises(ParseError, match="^line 2: bad detection record: "
+                           f"expected 5 landmark points, got {count}$"):
+            read_with(lambda det: None)
 
 
 def test_stream_integer_past_float_range_in_embedding_rejected(tmp_path):
@@ -620,8 +655,7 @@ def test_iter_stream_yields_what_read_stream_returns(tmp_path):
     assert header == listed_header
     assert [f for f, _ in streamed] == [f for f, _ in listed] == [0, 1, 2]
     for (_, a), (_, b) in zip(streamed, listed):
-        assert [(d.box, d.landmarks, d.gt_label) for d in a] == \
-            [(d.box, d.landmarks, d.gt_label) for d in b]
+        assert [(d.box, d.gt_label) for d in a] == [(d.box, d.gt_label) for d in b]
         for da, db in zip(a, b):
             assert np.array_equal(da.embedding, db.embedding)
 
@@ -1052,6 +1086,29 @@ def test_long_tracks_read_bit_for_bit_and_bad_rows_named_past_64(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="^bad tracks document: track 'amy': frame 450: "):
         read_tracks(path)
+
+
+def test_write_tracks_holds_one_track_matrix_at_a_time(tmp_path):
+    """write_tracks checks each track's float32 matrix and lets it go before
+    it stacks the next: writing four equal tracks peaks less than one
+    float32 track above writing one of them."""
+    rng = np.random.default_rng(23)
+    n, dim = 1000, 128
+    vectors = rng.normal(size=(n, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    tracks = [TrainingTrack(f"p{i}", list(enumerate(vectors)), 30.0) for i in range(4)]
+
+    def peak(written):
+        write_tracks(written, tmp_path / "warm.json")  # one-time allocations first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_tracks(written, tmp_path / "t.json")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(tracks) - peak(tracks[:1]) < n * dim * 4
 
 
 def test_tracks_unsupported_version(tmp_path):

@@ -119,8 +119,6 @@ def test_generate_embeddings_are_unit_norm_with_dims():
         for d in dets:
             assert d.embedding.shape == (16,)
             assert abs(np.linalg.norm(d.embedding) - 1.0) < 1e-9
-            assert d.landmarks is not None
-            assert len(d.landmarks.points) == 5
 
 
 def test_occlusion_suppresses_detection_but_keeps_presence():

@@ -2,7 +2,6 @@
 
 import copy
 import gc
-import math
 import pickle
 import tracemalloc
 
@@ -20,7 +19,6 @@ from prototrack.types import (
     Detection,
     FrameEntry,
     FrameResult,
-    Landmarks,
     cosine_distance,
     duplicate_named_labels,
     iou,
@@ -187,13 +185,6 @@ def test_iou_one_only_for_identical():
     assert iou(a, b) < 1.0
 
 
-def test_landmarks_require_five_points():
-    points4 = tuple((float(i), float(i)) for i in range(4))
-    with pytest.raises(ValueError):
-        Landmarks(points4)
-    Landmarks(points4 + ((4.0, 4.0),))  # five is fine
-
-
 def test_frame_entry_validates_source_and_distance():
     box = BoundingBox(0, 0, 10, 10)
     with pytest.raises(ValueError):
@@ -297,20 +288,16 @@ def test_frame_records_repr():
 
 
 # ---------------------------------------------------------------------------
-# the input records: slotted dataclasses and packed landmarks
-
-POINTS = ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0), (9.0, 10.0))
+# the input records: slotted dataclasses
 
 
 def sample_records():
-    """A BoundingBox, a Landmarks and a Detection holding both."""
+    """A BoundingBox and a Detection holding it."""
     box = BoundingBox(1.0, 2.0, 3.0, 4.0)
-    marks = Landmarks(POINTS)
-    return box, marks, Detection(5, box, np.array([0.6, 0.8]), marks, "alice")
+    return box, Detection(5, box, np.array([0.6, 0.8]), "alice")
 
 
-@pytest.mark.parametrize("index, name", [(0, "x"), (1, "points"), (2, "frame")],
-                         ids=["box", "landmarks", "detection"])
+@pytest.mark.parametrize("index, name", [(0, "x"), (1, "frame")], ids=["box", "detection"])
 def test_input_records_have_no_dict_and_are_immutable(index, name):
     record = sample_records()[index]
     assert not hasattr(record, "__dict__")
@@ -322,35 +309,6 @@ def test_input_records_have_no_dict_and_are_immutable(index, name):
         delattr(record, name)
 
 
-def test_landmarks_points_round_trip_as_floats():
-    points = ((0.0, -0.0), (1, 2), (1e9, 3.25), (-4.5, 5.0), (2 ** 53 + 1, 0.1))
-    got = Landmarks(points).points
-    assert got == tuple((float(x), float(y)) for x, y in points)
-    assert all(type(v) is float for p in got for v in p)
-    assert math.copysign(1.0, got[0][1]) == -1.0  # the sign of -0.0 is kept
-    assert got[4][0] == float(2 ** 53 + 1)  # an int reads as float() reads it
-
-
-def test_landmarks_compare_and_hash_by_points():
-    a, b = Landmarks(POINTS), Landmarks(tuple(map(list, POINTS)))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != Landmarks(POINTS[:4] + ((9.0, 10.5),))
-    zero, negative_zero = Landmarks(((0.0, 0.0),) * 5), Landmarks(((-0.0, 0.0),) * 5)
-    assert zero == negative_zero and hash(zero) == hash(negative_zero)
-    assert a != POINTS and POINTS != a  # not equal to a bare tuple
-
-
-def test_landmarks_validation_errors():
-    with pytest.raises(ValueError, match="^expected 5 landmark points, got 4$"):
-        Landmarks(POINTS[:4])
-    with pytest.raises(ValueError, match="^expected 5 landmark points, got 6$"):
-        Landmarks(POINTS + ((0.0, 0.0),))
-    with pytest.raises(ValueError):  # each point is one (x, y) pair
-        Landmarks(POINTS[:4] + ((9.0, 10.0, 11.0),))
-    with pytest.raises(TypeError, match="^landmark coordinates must be real numbers"):
-        Landmarks(POINTS[:4] + (("9", 10.0),))
-
-
 def test_bounding_box_validation_and_value_semantics():
     with pytest.raises(ValueError, match="^box width/height must be positive: 0.0x4.0$"):
         BoundingBox(1.0, 2.0, 0.0, 4.0)
@@ -360,40 +318,36 @@ def test_bounding_box_validation_and_value_semantics():
 
 
 def test_detection_compares_by_identity():
-    _, _, det = sample_records()
-    twin = Detection(det.frame, det.box, det.embedding, det.landmarks, det.gt_label)
+    _, det = sample_records()
+    twin = Detection(det.frame, det.box, det.embedding, det.gt_label)
     assert det == det and det != twin
     assert len({det, twin}) == 2
-    assert Detection(0, det.box, det.embedding).landmarks is None
     assert Detection(0, det.box, det.embedding).gt_label is None
 
 
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy,
                                    copy.copy], ids=["pickle", "deepcopy", "copy"])
 def test_input_records_pickle_and_copy_round_trip(clone):
-    box, marks, det = sample_records()
+    box, det = sample_records()
     assert clone(box) == box and type(clone(box)) is BoundingBox
-    assert clone(marks) == marks and type(clone(marks)) is Landmarks
     back = clone(det)
     assert type(back) is Detection and back is not det
-    assert (back.frame, back.box, back.landmarks, back.gt_label) == \
-        (det.frame, det.box, det.landmarks, det.gt_label)
+    assert (back.frame, back.box, back.gt_label) == (det.frame, det.box, det.gt_label)
     assert np.array_equal(back.embedding, det.embedding)
 
 
 def test_input_records_repr():
-    box, marks, det = sample_records()
+    box, det = sample_records()
     assert repr(box) == "BoundingBox(x=1.0, y=2.0, w=3.0, h=4.0)"
-    assert repr(marks) == ("Landmarks(points=((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), "
-                           "(7.0, 8.0), (9.0, 10.0)))")
     assert repr(det) == (f"Detection(frame=5, box={box!r}, embedding=array([0.6, 0.8]), "
-                         f"landmarks={marks!r}, gt_label='alice')")
+                         "gt_label='alice')")
 
 
 def test_generated_detections_bytes_beyond_their_embeddings():
     """Python objects a generated stream holds per detection, beyond its
-    embedding's float64 data: 515 bytes on a 16-d scenario with compact
-    records, 1 122 bytes with dict-backed dataclasses and tuple landmarks."""
+    embedding's float64 data, on a 16-d scenario: 354 bytes with compact
+    records and no landmarks kept, 515 with packed landmarks, and 1 122 with
+    dict-backed dataclasses and tuple landmarks."""
     def scenario(seconds):
         return synth.ScenarioSpec(participants=4, duration_seconds=seconds, fps=10,
                                   embedding_dim=16, seed=3, events=(
@@ -410,4 +364,4 @@ def test_generated_detections_bytes_beyond_their_embeddings():
         tracemalloc.stop()
     n = sum(len(dets) for _, dets in stream.frames)
     assert n == 2600
-    assert (held - n * 16 * 8) / n < 700
+    assert (held - n * 16 * 8) / n < 400
