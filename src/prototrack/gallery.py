@@ -31,7 +31,8 @@ def _check_label(kind, label) -> None:
 
 def _is_frame(frame) -> bool:
     """A frame index is an integer, not a bool: what the readers accept."""
-    return isinstance(frame, numbers.Integral) and not isinstance(frame, bool)
+    return type(frame) is int or (
+        isinstance(frame, numbers.Integral) and not isinstance(frame, bool))
 
 
 @dataclass(frozen=True, eq=False)

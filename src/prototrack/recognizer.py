@@ -1,8 +1,15 @@
 """Minimum-distance classification of embeddings against a gallery.
 
 A batch of m query rows is matched against all P prototypes in one
-(m, d) @ (d, P) product, the prototypes held as the columns of one matrix,
-then reduced per label before the distances are clipped.
+(m, d) @ (d, P) product, the prototypes held as the columns of one matrix
+grouped by sorted label. Each row takes its nearest column: the first
+column at the minimum of its distances 1 - s clipped to [0, 2], and that
+column's label. This is the first label at the minimum of the per-label
+minima, bit for bit: rounding 1 - s is monotone, so the minimum is the same
+number either way, and the first column holding it lies in the first label
+holding it. The clip changes which column comes first only in a row whose
+unclipped minimum lies outside (0, 2), so only such rows are clipped: on
+every other row the clip moves no distance at or below the minimum.
 """
 
 from __future__ import annotations
@@ -72,9 +79,12 @@ class GalleryIndex:
     """Flattened view of a gallery for fast repeated matching.
 
     The prototypes are held once, as the columns of one C-contiguous
-    (d, P) float64 matrix grouped by sorted label, so a batch of queries is
-    one (m, d) @ (d, P) product plus per-label segment maxima. The tracker
-    and the exhaustive baseline both classify through this one product.
+    (d, P) float64 matrix grouped by sorted label, and column_labels holds
+    each column's label. A batch of queries is one (m, d) @ (d, P) product,
+    then each row's nearest column (see the module docstring): the first
+    column at the row's smallest clipped distance, so ties go to the
+    lexicographically smallest label. The tracker and the exhaustive
+    baseline both classify through this one product.
     """
 
     def __init__(self, gallery: Gallery):
@@ -87,8 +97,7 @@ class GalleryIndex:
         dims = {r.shape[0] for r in rows}
         if len(dims) != 1:
             raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
-        counts = [len(entries[label]) for label in self.labels]
-        self.starts = np.cumsum([0] + counts[:-1], dtype=np.intp)
+        self.column_labels = [label for label in self.labels for _ in entries[label]]
         self.columns = np.stack(rows, axis=1)
         self.dim = self.columns.shape[0]
 
@@ -96,19 +105,6 @@ class GalleryIndex:
         """(m, P) cosine similarities of the (m, d) unit queries to every
         prototype column: the one matrix product of classification."""
         return q @ self.columns
-
-    def _label_distances(self, q):
-        """(m, labels): each row of the (m, d) queries' smallest distance to
-        each label's prototypes.
-
-        It takes the largest similarity within each label's contiguous
-        segment, then 1 - s clipped to [0, 2]. Rounding is monotone, so this
-        is the segment minimum of the clipped distances bit for bit, on far
-        fewer columns.
-        """
-        per_label = 1.0 - np.maximum.reduceat(self.similarities(q), self.starts, axis=1)
-        np.maximum(per_label, 0.0, out=per_label)
-        return np.minimum(per_label, 2.0, out=per_label)
 
     def classify_batch(self, embeddings, cfg: RecognizerConfig):
         """Classify a (m, d) batch (or one d-vector as m = 1).
@@ -122,13 +118,22 @@ class GalleryIndex:
         if q.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"query dim {q.shape[1]} vs gallery dim {self.dim}")
-        per_label = self._label_distances(q)
-        best = np.argmin(per_label, axis=1)  # ties -> lowest = lexicographically smallest label
-        distances = per_label[np.arange(len(best)), best]
-        names = self.labels
+        dists = self.similarities(q)
+        np.subtract(1.0, dists, out=dists)
+        best = dists.argmin(axis=1)  # the first column at the minimum
+        distances = dists[np.arange(len(best)), best]
+        found = distances.tolist()
+        # only a row whose minimum lies outside (0, 2) ranks otherwise once clipped
+        if min(found, default=1.0) <= 0.0 or max(found, default=1.0) >= 2.0:
+            edge = np.flatnonzero((distances <= 0.0) | (distances >= 2.0))
+            clipped = np.clip(dists[edge], 0.0, 2.0)
+            best[edge] = clipped.argmin(axis=1)
+            distances[edge] = clipped.min(axis=1)
+            found = distances.tolist()
+        names = self.column_labels
         threshold = cfg.unknown_threshold
         labels = [names[b] if d <= threshold else UNKNOWN
-                  for b, d in zip(best.tolist(), distances.tolist())]
+                  for b, d in zip(best.tolist(), found)]
         return labels, distances
 
 

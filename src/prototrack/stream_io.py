@@ -28,12 +28,16 @@ call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
 at 9 significant digits (nearly all of an embedding's), and a per-number
 %-format spells the others. Gallery and tracks files have one record
 reader and one writer, which streams the document to the file once the
-readers' own rule has passed what it will write."""
+readers' own rule has passed what it will write. write_stream checks each
+chunk's float32 boxes and keypoints for the reader's finiteness rule before
+it spells them, and moves a whole stream into place or leaves no file."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -210,31 +214,67 @@ def _box_matrix(boxes) -> np.ndarray:
 _KEYPOINTS = np.array([(0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80)])
 
 
+def _first_non_finite(frames, corners, marks):
+    """The reader's words for the first detection of `frames` whose float32
+    box (a row of `corners`) or keypoints (five rows of `marks`) are not all
+    finite, naming its frame; None when every one is finite."""
+    points = marks.reshape(-1, 5, 2)
+    boxes_ok = np.isfinite(corners).all(axis=1)
+    bad = ~(boxes_ok & np.isfinite(points).all(axis=(1, 2)))
+    if not bad.any():
+        return None
+    di = int(bad.argmax())
+    frame = [f for f, detections in frames for _ in detections][di]
+    if boxes_ok[di]:
+        key, values = "landmark point", next(p for p in points[di] if not np.isfinite(p).all())
+    else:
+        key, values = "box", corners[di]
+    return (f"frame {frame}: {key} must be finite: non-finite value in "
+            f"{[canonical_float(v) for v in values.tolist()]!r}")
+
+
 def write_stream(path, header: StreamHeader, frames) -> None:
     """Write a detection stream as JSONL (header line, then frame records);
-    each detection's landmarks are its box's _KEYPOINTS."""
+    each detection's landmarks are its box's _KEYPOINTS.
+
+    A box or keypoint that is not finite in float32 raises ValueError in the
+    reader's words, naming the frame. The stream is written under a
+    temporary name in the output's directory and moved into place at the
+    end, so a refused stream leaves no file and keeps any file at `path`."""
     frames = iter(frames)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
-        # numbers are formatted 64 frames at a time, as in write_results
-        while chunk := list(islice(frames, 64)):
-            dets = [d for _, detections in chunk for d in detections]
-            corners = _box_matrix([d.box for d in dets])
-            boxes = iter(float_arrays(corners))
-            # (x + fx * w, y + fy * h) in float64, five rows per box
-            marks = iter(float_arrays(
-                (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)))
-            embeddings = iter(float_arrays([d.embedding for d in dets]))
-            for frame_index, detections in chunk:
-                records = []
-                for d in detections:
-                    rec = ('{"box":' + next(boxes) + ',"landmarks":[' + ",".join(islice(marks, 5))
-                           + '],"embedding":' + next(embeddings))
-                    if d.gt_label is not None:
-                        rec += ',"gt_label":' + json.dumps(d.gt_label)
-                    records.append(rec + "}")
-                fh.write('{"frame":%d,"detections":[%s]}\n' % (
-                    frame_index, ",".join(records)))
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
+            # numbers are formatted 64 frames at a time, as in write_results
+            while chunk := list(islice(frames, 64)):
+                dets = [d for _, detections in chunk for d in detections]
+                corners = _box_matrix([d.box for d in dets])
+                # (x + fx * w, y + fy * h) in float64, five rows per box
+                marks = (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)
+                with np.errstate(over="ignore"):  # past the float32 range: refused below
+                    corners, marks = corners.astype(np.float32), marks.astype(np.float32)
+                refused = _first_non_finite(chunk, corners, marks)
+                if refused:
+                    raise ValueError(refused)
+                boxes, points = iter(float_arrays(corners)), iter(float_arrays(marks))
+                embeddings = iter(float_arrays([d.embedding for d in dets]))
+                for frame_index, detections in chunk:
+                    records = []
+                    for d in detections:
+                        rec = ('{"box":' + next(boxes) + ',"landmarks":['
+                               + ",".join(islice(points, 5)) + '],"embedding":' + next(embeddings))
+                        if d.gt_label is not None:
+                            rec += ',"gt_label":' + json.dumps(d.gt_label)
+                        records.append(rec + "}")
+                    fh.write('{"frame":%d,"detections":[%s]}\n' % (
+                        frame_index, ",".join(records)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:

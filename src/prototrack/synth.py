@@ -275,8 +275,12 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
             noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
             jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
                       if motion_sigma > 0 else (0.0, 0.0))
-            xs[i] = x = min(max(xs[i] + jx, half), x_hi)
-            ys[i] = y = min(max(ys[i] + jy, half), y_hi)
+            # min(max(v, lo), hi) as conditionals: max keeps v unless lo > v,
+            # min keeps m unless hi < m
+            x, y = xs[i] + jx, ys[i] + jy
+            x, y = half if half > x else x, half if half > y else y
+            xs[i] = x = x_hi if x_hi < x else x
+            ys[i] = y = y_hi if y_hi < y else y
             if not scene[i][f]:
                 continue
             present_now.append(label)
@@ -285,8 +289,10 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
             if noise is not None:
                 emb[row] = noise
             sources.append(i * poses + pose)
-            x = min(max(x - half, 0.0), box_x_hi)
-            y = min(max(y - half, 0.0), box_y_hi)
+            x, y = x - half, y - half
+            x, y = 0.0 if 0.0 > x else x, 0.0 if 0.0 > y else y
+            x = box_x_hi if box_x_hi < x else x
+            y = box_y_hi if box_y_hi < y else y
             detections.append(Detection(
                 f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row], label))
             row += 1

@@ -184,11 +184,6 @@ def _miss(face):
     face.continuous_appearances = max(0, face.continuous_appearances - 1)
 
 
-def _edges(boxes):
-    """(x, y, x + w, y + h, w * h) per box, in types.iou's arithmetic."""
-    return [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in boxes]
-
-
 def _kept(detections, frame_area, cfg):
     """The detections that area_filter keeps, as a list. With both area
     floors at 0 it keeps them all, so it is not called per detection."""
@@ -202,17 +197,24 @@ def _overlap_candidates(kept, active, reuse_iou):
 
     Equals the list that types.iou(detection box, last box) builds pair by
     pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
-    box's edges and area computed once per frame. When reuse_iou is above 0,
-    a pair whose edges show it disjoint is skipped before any arithmetic:
-    each such test implies iw <= 0 or ih <= 0 below.
+    box's edges (x, y, x + w, y + h) and area w * h computed once per frame,
+    in types.iou's arithmetic. When reuse_iou is above 0, a pair whose edges
+    show it disjoint is skipped before any arithmetic: each such test
+    implies iw <= 0 or ih <= 0 below.
     """
     if not active:  # as in every initial-window frame: no edges to compute
         return []
-    tracks = [(label, *e) for label, e in zip(
-        active, _edges([face.last_box for face in active.values()]))]
+    tracks = []
+    for label, face in active.items():
+        b = face.last_box
+        bx, by, bw, bh = b.x, b.y, b.w, b.h
+        tracks.append((label, bx, by, bx + bw, by + bh, bw * bh))
     candidates = []
     prune = reuse_iou > 0
-    for di, (ax, ay, ax2, ay2, aa) in enumerate(_edges([d.box for d in kept])):
+    for di, d in enumerate(kept):
+        a = d.box
+        ax, ay, aw, ah = a.x, a.y, a.w, a.h
+        ax2, ay2, aa = ax + aw, ay + ah, aw * ah
         for label, bx, by, bx2, by2, ba in tracks:
             if prune and (bx >= ax2 or ax >= bx2 or by >= ay2 or ay >= by2):
                 continue
@@ -274,7 +276,9 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
     kept = _kept(detections, frame_area, cfg.recognizer)
 
     # 1. every identity tracked at frame start ages one processed frame
-    for face in [*state.active.values(), *state.inactive.values()]:
+    for face in state.active.values():
+        face.total_frames_processed += 1
+    for face in state.inactive.values():
         face.total_frames_processed += 1
 
     # 2. box-overlap reuse against active identities, greedy highest first
@@ -287,14 +291,16 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
             _observe(face, kept[di].box, face.last_distance, cfg)
             entry_slots[di] = FrameEntry(
                 label, face.last_box, face.last_distance, SOURCE_REUSED)
-    missing = sorted(state.active.keys() - matched_labels)  # for step 4b
+    # for step 4b
+    missing = sorted(state.active.keys() - matched_labels) if state.active else ()
 
     # 3. classify everything the reuse pass did not claim, then rank each
     # named label's entries, reused or classified, in the frame's one table
     rest = [di for di, slot in enumerate(entry_slots) if slot is None]
-    labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
-    for di, label, distance in zip(rest, labels, distances):
-        entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
+    if rest:
+        labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
+        for di, label, distance in zip(rest, labels, distances):
+            entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
     winners = {}  # label -> (distance, detection index) of its closest entry
     for di, e in enumerate(entry_slots):
         best = winners.get(e.label)

@@ -266,17 +266,25 @@ def test_classification_is_plain_value():
 # classify_batch against the clip-then-reduce formula, bit for bit
 
 
+def label_starts(column_labels):
+    """The first column of each label's contiguous segment."""
+    return np.array([c for c, label in enumerate(column_labels)
+                     if c == 0 or label != column_labels[c - 1]], dtype=np.intp)
+
+
 def clip_then_reduce(index, q, threshold):
     """classify_batch as first written: every prototype column's distance
     clipped to [0, 2], then each label's segment minimum."""
     dists = 1.0 - index.similarities(q)
     np.clip(dists, 0.0, 2.0, out=dists)
-    per_label = np.minimum.reduceat(dists, index.starts, axis=1)
+    starts = label_starts(index.column_labels)
+    assert [index.column_labels[c] for c in starts] == index.labels
+    per_label = np.minimum.reduceat(dists, starts, axis=1)
     best = np.argmin(per_label, axis=1)
     distances = per_label[np.arange(len(best)), best]
     labels = [index.labels[b] if d <= threshold else UNKNOWN
               for b, d in zip(best.tolist(), distances.tolist())]
-    return labels, distances, per_label
+    return labels, distances
 
 
 def bitwise_cases():
@@ -309,16 +317,28 @@ def test_classify_batch_matches_clip_then_reduce_bit_for_bit():
         index = GalleryIndex(gallery_from(entries))
         threshold = 0.6
         labels, distances = index.classify_batch(q, RecognizerConfig(threshold))
-        want_labels, want_distances, want_per_label = clip_then_reduce(index, q, threshold)
+        want_labels, want_distances = clip_then_reduce(index, q, threshold)
         assert labels == want_labels
         assert np.array_equal(distances.view(np.uint64), want_distances.view(np.uint64))
-        per_label = index._label_distances(q)
-        assert np.array_equal(per_label.view(np.uint64), want_per_label.view(np.uint64))
         raw = 1.0 - index.similarities(q)
         below += bool((raw < 0.0).any())
         above += bool((raw > 2.0).any())
     # the cases reach past both ends of [0, 2], so they exercise the clamp
     assert below > 100 and above > 10
+
+
+def test_classify_batch_ties_made_by_the_clip_go_to_the_first_column():
+    # "b" holds the unclipped minimum, 1 - s = -2**-52 or exactly 2.0, and
+    # "a" the first column, at 0.0 or 2 + 2**-51: clipped to [0, 2] they tie
+    for a, b, query, distance in (([1.0, 0.0], [1.0 + 2 ** -52, 0.0], [1.0, 0.0], 0.0),
+                                  ([-1.0 - 2 ** -51, 0.0], [-1.0, 0.0], [1.0, 0.0], 2.0)):
+        index = GalleryIndex(gallery_from({"a": [np.array(a)], "b": [np.array(b)]}))
+        raw = 1.0 - index.similarities(np.array([query]))[0]
+        assert raw.argmin() == 1 and raw[0] != raw[1]
+        labels, distances = index.classify_batch(np.array(query),
+                                                 RecognizerConfig(unknown_threshold=2.0))
+        assert labels == ["a"]
+        assert distances.tolist() == [distance]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ results, and the CSV report writers."""
 import gc
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -305,6 +306,53 @@ def test_stream_write_is_deterministic(tmp_path):
     write_stream(p1, HEADER, frames)
     write_stream(p2, HEADER, frames)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def assert_refused_in_the_readers_words(tmp_path, bad_box, words, edit):
+    """write_stream refuses a stream holding `bad_box` at frame 66, in its
+    second 64-frame chunk, with `words`, naming the frame; it leaves no new
+    file and keeps an existing one. The reader refuses the stream the writer
+    would have spelled, made here by `edit` on a written one, in the same
+    words."""
+    frames = [(f, [Detection(f, BOX, unit(0))]) for f in range(70)]
+    frames[66][1].append(Detection(66, bad_box, unit(1)))
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("an earlier file\n")
+    for path in (tmp_path / "new.jsonl", kept):
+        with pytest.raises(ValueError) as exc:
+            write_stream(path, HEADER, frames)
+        assert str(exc.value) == f"frame 66: {words}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert kept.read_text() == "an earlier file\n"
+
+    path = stream_with_line_3(tmp_path, edit)
+    with pytest.raises(ParseError, match=f"^line 3: bad detection record: {re.escape(words)}$"):
+        read_stream(path)
+
+
+def test_write_stream_refuses_a_nan_box_coordinate(tmp_path):
+    words = "box must be finite: non-finite value in [nan, 100.0, 96.0, 96.0]"
+    assert_refused_in_the_readers_words(
+        tmp_path, BoundingBox(math.nan, 100.0, 96.0, 96.0), words,
+        lambda det: det["box"].__setitem__(0, math.nan))
+
+
+def test_write_stream_refuses_a_box_past_the_float32_range(tmp_path):
+    # finite in float64, Infinity in the float32 that the file stores
+    words = "box must be finite: non-finite value in [inf, 100.0, 96.0, 96.0]"
+    assert_refused_in_the_readers_words(
+        tmp_path, BoundingBox(1e39, 100.0, 96.0, 96.0), words,
+        lambda det: det["box"].__setitem__(0, math.inf))
+
+
+def test_write_stream_refuses_keypoints_past_the_float32_range(tmp_path):
+    # x and w are finite float32 values, x + 0.30 * w is not
+    box = BoundingBox(3e38, 100.0, 3e38, 96.0)
+    assert canonical_list([box.x, box.w]) == [3.00000001e38] * 2
+    words = "landmark point must be finite: non-finite value in [inf, 138.399994]"
+    assert_refused_in_the_readers_words(
+        tmp_path, box, words,
+        lambda det: det["landmarks"].__setitem__(0, [math.inf, 138.399994]))
 
 
 def test_stream_empty_file_rejected(tmp_path):

@@ -590,6 +590,83 @@ def test_overlap_association_matches_per_pair_iou(reuse_iou):
         assert got_reused == want_reused
 
 
+# The overlap pass as tracker.py held it before its one-loop form, kept
+# verbatim: the former step at the end of this file calls it too.
+def _edges(boxes):
+    """(x, y, x + w, y + h, w * h) per box, in types.iou's arithmetic."""
+    return [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in boxes]
+
+
+def reference_overlap_candidates(kept, active, reuse_iou):
+    """Every (-IoU, detection index, label) pair with IoU >= reuse_iou.
+
+    Equals the list that types.iou(detection box, last box) builds pair by
+    pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
+    box's edges and area computed once per frame. When reuse_iou is above 0,
+    a pair whose edges show it disjoint is skipped before any arithmetic:
+    each such test implies iw <= 0 or ih <= 0 below.
+    """
+    if not active:  # as in every initial-window frame: no edges to compute
+        return []
+    tracks = [(label, *e) for label, e in zip(
+        active, _edges([face.last_box for face in active.values()]))]
+    candidates = []
+    prune = reuse_iou > 0
+    for di, (ax, ay, ax2, ay2, aa) in enumerate(_edges([d.box for d in kept])):
+        for label, bx, by, bx2, by2, ba in tracks:
+            if prune and (bx >= ax2 or ax >= bx2 or by >= ay2 or ay >= by2):
+                continue
+            # max(a, b) and min(a, b), operand order kept
+            iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+            ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+            if iw <= 0 or ih <= 0:
+                overlap = 0.0
+            else:
+                inter = iw * ih
+                overlap = inter / (aa + ba - inter)
+            if overlap >= reuse_iou:
+                candidates.append((-overlap, di, label))
+    return candidates
+
+
+def zero_width_boxes(rng, pool):
+    """Boxes that meet one of `pool` along an edge or at a corner, so the
+    overlap has zero width or zero height (or both)."""
+    boxes = []
+    for b in pool:
+        dx = rng.choice([-1.0, 0.0, 1.0])
+        dy = rng.choice([-1.0, 0.0, 1.0]) if dx else rng.choice([-1.0, 1.0])
+        w, h = rng.choice([b.w, 0.5 * b.w, 2.0 * b.w]), rng.choice([b.h, 0.5 * b.h, 2.0 * b.h])
+        x = b.x + b.w if dx > 0 else b.x - w if dx < 0 else b.x
+        y = b.y + b.h if dy > 0 else b.y - h if dy < 0 else b.y
+        boxes.append(BoundingBox(x, y, w, h))
+    return boxes
+
+
+@pytest.mark.parametrize("reuse_iou", [0.0, 0.5, 1.0])
+def test_overlap_candidates_match_the_former_pass_bit_for_bit(reuse_iou):
+    rng = np.random.default_rng(2201)
+    seen = dict.fromkeys(("identical", "touching", "candidates"), 0)
+    for _ in range(600):
+        face_boxes = random_boxes(rng, int(rng.integers(0, 6)))
+        det_boxes = random_boxes(rng, int(rng.integers(0, 5)), face_boxes)
+        det_boxes += zero_width_boxes(rng, face_boxes[:2])
+        det_boxes += face_boxes[2:3]  # an identical box: IoU exactly 1
+        rng.shuffle(det_boxes)
+        active = active_faces(face_boxes)
+        dets = [det(1, box, one_hot(7)) for box in det_boxes]
+        want = reference_overlap_candidates(dets, active, reuse_iou)
+        # same pairs, same order, every float the same bits
+        assert exact(_overlap_candidates(dets, active, reuse_iou)) == exact(want)
+        seen["identical"] += any(-c[0] == 1.0 for c in want)
+        seen["touching"] += any(
+            iou(d, f) == 0.0 and (d.x + d.w == f.x or f.x + f.w == d.x
+                                  or d.y + d.h == f.y or f.y + f.h == d.y)
+            for d in det_boxes for f in face_boxes)
+        seen["candidates"] += len(want)
+    assert all(seen.values()), seen
+
+
 def test_reuse_ties_go_to_lower_detection_then_smaller_label():
     face_box = BoundingBox(100, 100, 100, 100)
     left, right = BoundingBox(50, 100, 100, 100), BoundingBox(150, 100, 100, 100)
@@ -820,7 +897,7 @@ def reference_step(state, frame_index, detections, gallery, cfg, frame_area, win
     # 2. box-overlap reuse against active identities, greedy highest first
     entry_slots = [None] * len(kept)
     matched_labels = set()
-    for _, di, label in sorted(_overlap_candidates(kept, state.active, cfg.reuse_iou)):
+    for _, di, label in sorted(reference_overlap_candidates(kept, state.active, cfg.reuse_iou)):
         if entry_slots[di] is None and label not in matched_labels:
             matched_labels.add(label)
             face = state.active[label]

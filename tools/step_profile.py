@@ -9,10 +9,11 @@ splits it, a k-means gallery is built from its training tracks as
 `tracker.run` tracks the test frames ``--passes`` times with the `track`
 defaults. Each pass starts after a full collection. The
 `run_initial_window()` call and every `step()` call are timed, and so is
-every `GalleryIndex.classify_batch` call; the table gives, per pass, the
-initial window's time, the number of steps, the p50 and p99 step time
-(nearest rank), the total time spent classifying (the window's calls
-included), and for each garbage-collector generation the
+every `GalleryIndex.classify_batch` and `tracker._overlap_candidates` call;
+the table gives, per pass, the initial window's time, the number of steps,
+the p50 and p99 step time (nearest rank), the total time spent classifying
+and finding overlap candidates (the window's calls included), and for each
+garbage-collector generation the
 number of collections during the pass and their total pause, taken from
 ``gc.callbacks``. The scenario is generated in float64 and never written, so
 the embeddings are not the float32 values a `track` job reads back; the
@@ -81,24 +82,25 @@ def timed(fn, seconds):
 
 def timed_pass(frames, index, cfg, frame_area):
     """One tracker.run over `frames`: (state, window seconds, step seconds,
-    classify seconds, GcLog)."""
+    classify seconds, overlap seconds, GcLog)."""
     window, step = tracker.run_initial_window, tracker.step
-    classify = GalleryIndex.classify_batch
-    window_seconds, seconds, classify_seconds = [], [], []
+    classify, overlap = GalleryIndex.classify_batch, tracker._overlap_candidates
+    window_seconds, seconds, classify_seconds, overlap_seconds = [], [], [], []
     log = GcLog()
     gc.collect()
     tracker.run_initial_window = timed(window, window_seconds)
     tracker.step = timed(step, seconds)
     GalleryIndex.classify_batch = timed(classify, classify_seconds)
+    tracker._overlap_candidates = timed(overlap, overlap_seconds)
     gc.callbacks.append(log)
     try:
         state = tracker.run(frames, index, cfg, frame_area)
     finally:
         gc.callbacks.remove(log)
         tracker.run_initial_window, tracker.step = window, step
-        GalleryIndex.classify_batch = classify
+        GalleryIndex.classify_batch, tracker._overlap_candidates = classify, overlap
     (window_s,) = window_seconds
-    return state, window_s, seconds, sum(classify_seconds), log
+    return state, window_s, seconds, sum(classify_seconds), sum(overlap_seconds), log
 
 
 def peak_rss_mb():
@@ -117,16 +119,16 @@ def setup(stream, train_seconds, k):
 
 def table(passes):
     """One row per pass of (window seconds, step seconds, classify
-    seconds, GcLog)."""
+    seconds, overlap seconds, GcLog)."""
     head = (f"{'pass':<5}{'window_us':>11}{'steps':>7}{'p50_us':>9}{'p99_us':>9}"
-            f"{'classify_us':>13}" + "".join(
+            f"{'classify_us':>13}{'overlap_us':>12}" + "".join(
                 f"{f'gc{g}':>6}{f'gc{g}_ms':>9}" for g in GENERATIONS))
     lines = [head]
-    for i, (window_s, seconds, classify_s, log) in enumerate(passes):
+    for i, (window_s, seconds, classify_s, overlap_s, log) in enumerate(passes):
         lines.append(f"{i:<5}{window_s * 1e6:>11.1f}{len(seconds):>7}"
                      f"{percentile(seconds, 50) * 1e6:>9.1f}"
                      f"{percentile(seconds, 99) * 1e6:>9.1f}"
-                     f"{classify_s * 1e6:>13.1f}" + "".join(
+                     f"{classify_s * 1e6:>13.1f}{overlap_s * 1e6:>12.1f}" + "".join(
                          f"{log.count[g]:>6}{log.pause[g] * 1e3:>9.3f}"
                          for g in GENERATIONS))
     return "\n".join(lines)
