@@ -10,6 +10,11 @@ number either way, and the first column holding it lies in the first label
 holding it. The clip changes which column comes first only in a row whose
 unclipped minimum lies outside (0, 2), so only such rows are clipped: on
 every other row the clip moves no distance at or below the minimum.
+
+After the product a batch takes one Python pass: each row's nearest column
+and distance are read once, as lists, and one loop names each row's label
+and spots any row outside (0, 2). Only then, and rarely, are such rows
+clipped, ranked again and named again.
 """
 
 from __future__ import annotations
@@ -122,18 +127,22 @@ class GalleryIndex:
         np.subtract(1.0, dists, out=dists)
         best = dists.argmin(axis=1)  # the first column at the minimum
         distances = dists[np.arange(len(best)), best]
-        found = distances.tolist()
+        names = self.column_labels
+        threshold = cfg.unknown_threshold
+        labels = []
+        outside = False
+        for b, d in zip(best.tolist(), distances.tolist()):
+            if not 0.0 < d < 2.0:
+                outside = True
+            labels.append(names[b] if d <= threshold else UNKNOWN)
         # only a row whose minimum lies outside (0, 2) ranks otherwise once clipped
-        if min(found, default=1.0) <= 0.0 or max(found, default=1.0) >= 2.0:
+        if outside:
             edge = np.flatnonzero((distances <= 0.0) | (distances >= 2.0))
             clipped = np.clip(dists[edge], 0.0, 2.0)
             best[edge] = clipped.argmin(axis=1)
             distances[edge] = clipped.min(axis=1)
-            found = distances.tolist()
-        names = self.column_labels
-        threshold = cfg.unknown_threshold
-        labels = [names[b] if d <= threshold else UNKNOWN
-                  for b, d in zip(best.tolist(), found)]
+            labels = [names[b] if d <= threshold else UNKNOWN
+                      for b, d in zip(best.tolist(), distances.tolist())]
         return labels, distances
 
 

@@ -28,9 +28,11 @@ call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
 at 9 significant digits (nearly all of an embedding's), and a per-number
 %-format spells the others. Gallery and tracks files have one record
 reader and one writer, which streams the document to the file once the
-readers' own rule has passed what it will write. write_stream checks each
-chunk's float32 boxes and keypoints for the reader's finiteness rule before
-it spells them, and moves a whole stream into place or leaves no file."""
+readers' own rule has passed what it will write. write_stream and
+write_results check each chunk's frame order and float32 boxes (and
+keypoints, or the entries' labels, distances and sources) by their
+reader's rules before they spell them, and move a whole file into place or
+leave no file."""
 
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
+from numbers import Integral
 from operator import getitem
 
 import numpy as np
@@ -63,6 +66,7 @@ from .types import (
     Detection,
     FrameEntry,
     FrameResult,
+    _entry_fault,
     l2_normalize_rows,
 )
 
@@ -87,6 +91,37 @@ def _write_lines(path, lines) -> None:
     """Write each of `lines` followed by a newline, as UTF-8 with Unix line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file open under a temporary name in `path`'s directory, moved
+    to `path` when the block ends and deleted if it raises: a refused write
+    leaves no file and keeps any file at `path`."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _in_order(frames):
+    """Each (frame index, item) pair of `frames`, refused with ValueError in
+    the readers' words unless its index is an integer (not a bool) one more
+    than the index before it."""
+    last = None
+    for frame, item in frames:
+        if isinstance(frame, bool) or not isinstance(frame, Integral):
+            raise ValueError(f"frame must be a JSON integer: {frame!r}")
+        if last is not None and frame != last + 1:
+            raise ValueError(f"frame {frame} after {last}")
+        last = frame
+        yield frame, item
 
 
 def _read_document(path, kind, version) -> dict:
@@ -209,72 +244,70 @@ def _box_matrix(boxes) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def _boxes_ok(corners) -> np.ndarray:
+    """Which rows of a float32 box matrix the readers accept: every value
+    finite, the width and height above 0."""
+    return np.isfinite(corners).all(axis=1) & (corners[:, 2] > 0) & (corners[:, 3] > 0)
+
+
+def _spelled(values) -> list:
+    """float32 values as a reader reads back the text the writers spell."""
+    return [canonical_float(v) for v in values.tolist()]
+
+
+def _refused(frames, i, exc):
+    """ValueError in the words of a reader's exc, naming the frame of the
+    i-th item (detection or entry) of `frames`."""
+    frame = [f for f, items in frames for _ in items][i]
+    return ValueError(f"frame {frame}: {exc}")
+
+
 # the keypoints write_stream spells for a box (eyes, nose tip, mouth corners),
 # as fractions of its width and height from its top-left corner
 _KEYPOINTS = np.array([(0.30, 0.40), (0.70, 0.40), (0.50, 0.60), (0.35, 0.80), (0.65, 0.80)])
-
-
-def _first_non_finite(frames, corners, marks):
-    """The reader's words for the first detection of `frames` whose float32
-    box (a row of `corners`) or keypoints (five rows of `marks`) are not all
-    finite, naming its frame; None when every one is finite."""
-    points = marks.reshape(-1, 5, 2)
-    boxes_ok = np.isfinite(corners).all(axis=1)
-    bad = ~(boxes_ok & np.isfinite(points).all(axis=(1, 2)))
-    if not bad.any():
-        return None
-    di = int(bad.argmax())
-    frame = [f for f, detections in frames for _ in detections][di]
-    if boxes_ok[di]:
-        key, values = "landmark point", next(p for p in points[di] if not np.isfinite(p).all())
-    else:
-        key, values = "box", corners[di]
-    return (f"frame {frame}: {key} must be finite: non-finite value in "
-            f"{[canonical_float(v) for v in values.tolist()]!r}")
 
 
 def write_stream(path, header: StreamHeader, frames) -> None:
     """Write a detection stream as JSONL (header line, then frame records);
     each detection's landmarks are its box's _KEYPOINTS.
 
-    A box or keypoint that is not finite in float32 raises ValueError in the
-    reader's words, naming the frame. The stream is written under a
+    What read_stream would refuse raises ValueError in its words, naming
+    the frame: a frame index that is not an integer one more than the one
+    before, a box or keypoint that is not finite in float32, or a box width
+    or height that is not above 0 in float32. The stream is written under a
     temporary name in the output's directory and moved into place at the
     end, so a refused stream leaves no file and keeps any file at `path`."""
-    frames = iter(frames)
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
-            # numbers are formatted 64 frames at a time, as in write_results
-            while chunk := list(islice(frames, 64)):
-                dets = [d for _, detections in chunk for d in detections]
-                corners = _box_matrix([d.box for d in dets])
-                # (x + fx * w, y + fy * h) in float64, five rows per box
-                marks = (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)
-                with np.errstate(over="ignore"):  # past the float32 range: refused below
-                    corners, marks = corners.astype(np.float32), marks.astype(np.float32)
-                refused = _first_non_finite(chunk, corners, marks)
-                if refused:
-                    raise ValueError(refused)
-                boxes, points = iter(float_arrays(corners)), iter(float_arrays(marks))
-                embeddings = iter(float_arrays([d.embedding for d in dets]))
-                for frame_index, detections in chunk:
-                    records = []
-                    for d in detections:
-                        rec = ('{"box":' + next(boxes) + ',"landmarks":['
-                               + ",".join(islice(points, 5)) + '],"embedding":' + next(embeddings))
-                        if d.gt_label is not None:
-                            rec += ',"gt_label":' + json.dumps(d.gt_label)
-                        records.append(rec + "}")
-                    fh.write('{"frame":%d,"detections":[%s]}\n' % (
-                        frame_index, ",".join(records)))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    frames = _in_order(frames)
+    with _replacing(path) as fh:
+        fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
+        # numbers are formatted 64 frames at a time, as in write_results
+        while chunk := list(islice(frames, 64)):
+            dets = [d for _, detections in chunk for d in detections]
+            corners = _box_matrix([d.box for d in dets])
+            # (x + fx * w, y + fy * h) in float64, five rows per box
+            marks = (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)
+            with np.errstate(over="ignore"):  # past the float32 range: refused below
+                corners, marks = corners.astype(np.float32), marks.astype(np.float32)
+            points = marks.reshape(-1, 5, 2)
+            for di in np.flatnonzero(~(_boxes_ok(corners) & np.isfinite(points).all(axis=(1, 2)))):
+                try:  # the reader's own checks, on the numbers the file would hold
+                    BoundingBox(*_numbers("box", _spelled(corners[di]), 4))
+                    for point in points[di]:
+                        _numbers("landmark point", _spelled(point), 2)
+                except ValueError as exc:
+                    raise _refused(chunk, di, exc) from None
+            boxes, points = iter(float_arrays(corners)), iter(float_arrays(marks))
+            embeddings = iter(float_arrays([d.embedding for d in dets]))
+            for frame_index, detections in chunk:
+                records = []
+                for d in detections:
+                    rec = ('{"box":' + next(boxes) + ',"landmarks":['
+                           + ",".join(islice(points, 5)) + '],"embedding":' + next(embeddings))
+                    if d.gt_label is not None:
+                        rec += ',"gt_label":' + json.dumps(d.gt_label)
+                    records.append(rec + "}")
+                fh.write('{"frame":%d,"detections":[%s]}\n' % (
+                    frame_index, ",".join(records)))
 
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
@@ -556,22 +589,42 @@ def read_truth(path):
 
 
 def write_results(results, path) -> None:
-    """Write FrameResults as JSONL, one frame per line."""
-    results = list(results)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write FrameResults as JSONL, one frame per line.
+
+    What read_results would refuse raises ValueError in its words, naming
+    the frame: a frame index that is not an integer one more than the one
+    before, or an entry whose label is not a string, whose box is not
+    finite in float32 or has a width or height not above 0 there, whose
+    distance is not finite and at least 0, or whose source is unknown. The
+    file is written under a temporary name and moved into place as
+    write_stream's is."""
+    results = _in_order(results)
+    with _replacing(path) as fh:
         # boxes are formatted a few frames at a time: one bulk call per frame
         # costs more than the boxes, one per file raises the peak memory
-        for start in range(0, len(results), 64):
-            chunk = results[start:start + 64]
-            boxes = iter(float_arrays(_box_matrix([e.box for r in chunk for e in r.entries])))
-            for r in chunk:
-                entries = ",".join([
+        while chunk := list(islice(results, 64)):
+            entries = [e for _, frame_entries in chunk for e in frame_entries]
+            with np.errstate(over="ignore"):  # past the float32 range: refused below
+                corners = _box_matrix([e.box for e in entries]).astype(np.float32)
+            if not (_boxes_ok(corners).all() and all(
+                    [type(e.label) is str and _entry_fault(e.distance, e.source) is None
+                     for e in entries])):
+                for i, e in enumerate(entries):
+                    try:  # read_results' own checks, on the values the file would hold
+                        FrameEntry(_text("label", e.label),
+                                   BoundingBox(*_numbers("box", _spelled(corners[i]), 4)),
+                                   _number("distance", canonical_float(e.distance)), e.source)
+                    except ValueError as exc:
+                        raise _refused(chunk, i, exc) from None
+            boxes = iter(float_arrays(corners))
+            for frame, frame_entries in chunk:
+                text = ",".join([
                     '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (
                         json.dumps(e.label), next(boxes), float_text(e.distance),
                         json.dumps(e.source))
-                    for e in r.entries
+                    for e in frame_entries
                 ])
-                fh.write('{"frame":%d,"entries":[%s]}\n' % (r.frame, entries))
+                fh.write('{"frame":%d,"entries":[%s]}\n' % (frame, text))
 
 
 def read_results(path):

@@ -69,6 +69,16 @@ NEW_FACE_POLICIES = (NEW_FACE_INACTIVE, NEW_FACE_ACTIVE)
 # ceiling of the cosine-distance range, i.e. "as far as possible"
 _EMPTY_GALLERY_DISTANCE = 2.0
 
+# The tracker builds its FrameEntry and FrameResult records with the bare
+# tuple constructor, _record(cls, fields), skipping FrameEntry's checks. In a
+# state that run, run_initial_window and step built, they hold: its sources
+# are the SOURCE_ constants, and its distances come from classify_batch
+# (clipped to [0, 2]), from an identity's last_distance (an earlier such
+# distance) or from _EMPTY_GALLERY_DISTANCE. A TrackedFace that a caller
+# builds or edits carries its own last_distance into reused and occluded
+# entries unchecked; stream_io.write_results refuses a bad one.
+_record = tuple.__new__
+
 
 @dataclass
 class TrackedFace:
@@ -274,25 +284,26 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
     label always starts inactive: run_initial_window promotes at its end."""
     _advance(state, frame_index)
     kept = _kept(detections, frame_area, cfg.recognizer)
+    active, inactive = state.active, state.inactive
 
     # 1. every identity tracked at frame start ages one processed frame
-    for face in state.active.values():
+    for face in active.values():
         face.total_frames_processed += 1
-    for face in state.inactive.values():
+    for face in inactive.values():
         face.total_frames_processed += 1
 
     # 2. box-overlap reuse against active identities, greedy highest first
     entry_slots = [None] * len(kept)
     matched_labels = set()
-    for _, di, label in sorted(_overlap_candidates(kept, state.active, cfg.reuse_iou)):
+    for _, di, label in sorted(_overlap_candidates(kept, active, cfg.reuse_iou)):
         if entry_slots[di] is None and label not in matched_labels:
             matched_labels.add(label)
-            face = state.active[label]
+            face = active[label]
             _observe(face, kept[di].box, face.last_distance, cfg)
-            entry_slots[di] = FrameEntry(
-                label, face.last_box, face.last_distance, SOURCE_REUSED)
+            entry_slots[di] = _record(
+                FrameEntry, (label, face.last_box, face.last_distance, SOURCE_REUSED))
     # for step 4b
-    missing = sorted(state.active.keys() - matched_labels) if state.active else ()
+    missing = sorted(active.keys() - matched_labels) if active else ()
 
     # 3. classify everything the reuse pass did not claim, then rank each
     # named label's entries, reused or classified, in the frame's one table
@@ -300,7 +311,8 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
     if rest:
         labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
         for di, label, distance in zip(rest, labels, distances):
-            entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)
+            entry_slots[di] = _record(
+                FrameEntry, (label, kept[di].box, distance, SOURCE_CLASSIFIED))
     winners = {}  # label -> (distance, detection index) of its closest entry
     for di, e in enumerate(entry_slots):
         best = winners.get(e.label)
@@ -312,21 +324,21 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
     # label named by classification alone keeps its entry, and its identity
     # runs through step 4b as missing
     for label, (distance, di) in winners.items():
-        if label in state.active:
+        if label in active:
             continue
         box = kept[di].box
-        if label in state.inactive:
-            face = state.inactive[label]
+        if label in inactive:
+            face = inactive[label]
             _observe(face, box, distance, cfg)
             if not window and face.appearance_ratio >= cfg.promote_ratio:
                 _promote(state, face, cfg)
         else:
-            face = state.inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
+            face = inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
             if not window and cfg.new_face_policy == NEW_FACE_ACTIVE:
                 _promote(state, face, cfg)
 
     # 4a. inactive identities that no detection named lose confidence
-    for label, face in state.inactive.items():
+    for label, face in inactive.items():
         if label not in winners:
             _miss(face)
 
@@ -335,20 +347,20 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
     # unless a detection holds their label this frame
     placeholders = []
     for label in missing:
-        face = state.active[label]
+        face = active[label]
         _miss(face)
         if face.continuous_appearances < cfg.min_appearances:
-            state.inactive[label] = state.active.pop(label)
+            inactive[label] = active.pop(label)
         elif label not in winners:
-            placeholders.append(FrameEntry(
-                label, face.last_box, face.last_distance, SOURCE_OCCLUDED))
+            placeholders.append(_record(
+                FrameEntry, (label, face.last_box, face.last_distance, SOURCE_OCCLUDED)))
 
     # 5. a named label stays on its winner alone, the rest turn Unknown;
     # the placeholders go last
     entries = [e if e.label == UNKNOWN or winners[e.label][1] == di
-               else FrameEntry(UNKNOWN, e.box, e.distance, e.source)
+               else _record(FrameEntry, (UNKNOWN, e.box, e.distance, e.source))
                for di, e in enumerate(entry_slots)]
-    state.results.append(FrameResult(frame_index, (*entries, *placeholders)))
+    state.results.append(_record(FrameResult, (frame_index, (*entries, *placeholders))))
     return state
 
 

@@ -14,10 +14,22 @@ compares by identity; BoundingBox compares and hashes by value.
 The per-frame output records, FrameEntry and FrameResult, are immutable
 named tuples: the tracker builds several per frame, and a tuple is the
 cheapest immutable record to build. They compare and hash by value.
+
+Who checks them: FrameEntry's constructor, and so _make, _replace and
+pickling, refuses an unknown source and a distance that is not finite and
+at least 0 (the rule is _entry_fault); stream_io.read_results builds every
+entry through it. The tracker builds its records with the bare tuple
+constructor: a state that run, run_initial_window and step built holds
+only valid ones (see tracker._record), while the last_distance of a
+TrackedFace a caller built is the caller's to keep. stream_io.write_results
+checks every entry it is handed against read_results' rules, FrameEntry's
+through _entry_fault, before it writes a byte, so no record that skipped
+the constructor reaches a file the reader refuses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
@@ -151,6 +163,18 @@ class _FrameEntryFields(NamedTuple):
     source: str
 
 
+def _entry_fault(distance, source):
+    """Why FrameEntry refuses an entry of this distance and source, in its
+    words; None when it does not."""
+    if source not in ENTRY_SOURCES:
+        return f"unknown entry source: {source!r}"
+    if not distance >= 0:
+        return f"distance must be non-negative: {distance}"
+    if not distance < math.inf:
+        return f"distance must be finite: {distance}"
+    return None
+
+
 class FrameEntry(_FrameEntryFields):
     """One identity assertion in a frame's output.
 
@@ -162,10 +186,9 @@ class FrameEntry(_FrameEntryFields):
     __slots__ = ()
 
     def __new__(cls, label, box, distance, source):
-        if source not in ENTRY_SOURCES:
-            raise ValueError(f"unknown entry source: {source!r}")
-        if not distance >= 0:
-            raise ValueError(f"distance must be non-negative: {distance}")
+        fault = _entry_fault(distance, source)
+        if fault is not None:
+            raise ValueError(fault)
         return tuple.__new__(cls, (label, box, distance, source))
 
     @classmethod

@@ -2,14 +2,18 @@
 and reports, per pass, the initial window's time, the steps, the p50 and
 p99 step time, the time spent classifying and finding overlap candidates,
 and the garbage collections of each generation, then the scenario's
-detection count and the process's peak RSS."""
+detection count and the process's peak RSS. With --against it compares the
+tracker with another checkout's, interleaved frame by frame."""
 
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 
@@ -41,6 +45,43 @@ def test_step_profile_reports_every_pass_on_the_demo():
     assert memory, lines[5]
     generated, passes = map(float, memory.groups())
     assert 0 < generated <= passes  # a peak never falls
+
+
+def test_step_profile_against_its_own_src_on_the_demo():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_profile.py"),
+         "--scenario", str(ROOT / "tests" / "data" / "demo_scenario.cfg"),
+         "--passes", "2", "--against", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[1] == f"against: {ROOT / 'src'}; 2 passes interleaved frame by frame, " \
+                       "fastest of each call"
+    assert lines[2].split() == ["side", "window_us", "steps", "steps_us", "total_us"]
+    for name, line in zip(("this", "against"), lines[3:5]):
+        row = line.split()
+        window, steps, total = float(row[1]), float(row[3]), float(row[4])
+        assert row[0] == name and row[2] == "20"
+        assert window > 0 and steps > 0 and total == pytest.approx(window + steps, abs=0.2)
+    ratio = re.fullmatch(r"ratio against/this ([0-9.]+); results identical", lines[5])
+    assert ratio and float(ratio.group(1)) > 0, lines[5]
+
+
+def test_step_profile_against_exits_1_when_the_results_differ(tmp_path):
+    # another src whose recognizer names every detection Unknown
+    shutil.copytree(ROOT / "src" / "prototrack", tmp_path / "prototrack")
+    recognizer = tmp_path / "prototrack" / "recognizer.py"
+    text = recognizer.read_text()
+    assert text.count("if d <= threshold else UNKNOWN") == 2
+    recognizer.write_text(text.replace("if d <= threshold else UNKNOWN", "if False else UNKNOWN"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_profile.py"),
+         "--scenario", str(ROOT / "tests" / "data" / "demo_scenario.cfg"),
+         "--passes", "1", "--against", str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("; results DIFFER")
 
 
 def test_gc_log_counts_and_times_each_generation(monkeypatch):

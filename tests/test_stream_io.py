@@ -355,6 +355,14 @@ def test_write_stream_refuses_keypoints_past_the_float32_range(tmp_path):
         lambda det: det["landmarks"].__setitem__(0, [math.inf, 138.399994]))
 
 
+def test_write_stream_refuses_a_width_that_narrows_to_zero(tmp_path):
+    # positive in float64, 0.0 in the float32 that the file stores
+    words = "box width/height must be positive: 0.0x96.0"
+    assert_refused_in_the_readers_words(
+        tmp_path, BoundingBox(100.0, 100.0, 1e-50, 96.0), words,
+        lambda det: det["box"].__setitem__(2, 0.0))
+
+
 def test_stream_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -653,23 +661,45 @@ def test_stream_truncated_header_rejected(tmp_path):
         read_stream(path)
 
 
+# frame indices that int() reads as 1: each used to load silently as frame 1
+BAD_FRAMES = [True, 1.0, 1.5, "1", None]
+
+
 def test_stream_out_of_order_frames_rejected(tmp_path):
+    # write_stream refuses the second frame, so its line is written by hand
     path = tmp_path / "s.jsonl"
     for bad_second in (5, 3):
-        write_stream(path, HEADER, [(5, []), (bad_second, [])])
+        write_stream(path, HEADER, [(5, [])])
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"frame": bad_second, "detections": []}) + "\n")
         with pytest.raises(OutOfOrderFrame, match=f"frame {bad_second} after 5"):
             read_stream(path)
 
 
 def test_stream_frame_gap_rejected_with_line(tmp_path):
     path = tmp_path / "s.jsonl"
-    write_stream(path, HEADER, [(0, []), (2, [])])
+    write_stream(path, HEADER, [(0, [])])
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"frame": 2, "detections": []}) + "\n")
     with pytest.raises(OutOfOrderFrame, match="^line 3: frame 2 after 0$"):
         read_stream(path)
 
 
-# frame indices that int() reads as 1: each used to load silently as frame 1
-BAD_FRAMES = [True, 1.0, 1.5, "1", None]
+@pytest.mark.parametrize("second, words", [
+    (5, "frame 5 after 5"), (3, "frame 3 after 5"), (7, "frame 7 after 5"),
+    *[(bad, f"frame must be a JSON integer: {bad!r}") for bad in BAD_FRAMES],
+])
+@pytest.mark.parametrize("writer", ["stream", "results"])
+def test_writers_refuse_frames_their_reader_refuses(tmp_path, second, words, writer):
+    path = tmp_path / "out.jsonl"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+        if writer == "stream":
+            write_stream(path, HEADER, [(5, []), (second, [])])
+        else:
+            write_results([FrameResult(5, ()), FrameResult(second, ())], path)
+    assert path.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
 
 @pytest.mark.parametrize("bad", BAD_FRAMES)
@@ -1524,6 +1554,96 @@ def test_results_box_and_distance_must_be_json_numbers(tmp_path, key, value):
     with pytest.raises(ParseError, match=f"^line 2: bad result record: {key} must be") as exc:
         read_results(path)
     assert exc.value.line_number == 2
+
+
+def assert_results_refused_in_the_readers_words(tmp_path, bad_entry, words, edit):
+    """write_results refuses results holding `bad_entry` at frame 66, in
+    its second 64-frame chunk, with `words`, naming the frame; it leaves no
+    new file and keeps an existing one. read_results refuses the file the
+    writer would have spelled, made here by `edit` on the entry's record in
+    a written one, in the same words."""
+    results = [FrameResult(f, (FrameEntry("alice", BOX, 0.125, SOURCE_REUSED),))
+               for f in range(70)]
+    results[66] = FrameResult(66, (*results[66].entries, bad_entry))
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("an earlier file\n")
+    for path in (tmp_path / "new.jsonl", kept):
+        with pytest.raises(ValueError) as exc:
+            write_results(results, path)
+        assert str(exc.value) == f"frame 66: {words}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert kept.read_text() == "an earlier file\n"
+
+    path = tmp_path / "edited.jsonl"
+    write_results(results[:66] + [FrameResult(66, (*results[66].entries[:1],) * 2)], path)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[66])
+    edit(rec["entries"][1])
+    lines[66] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"^line 67: bad result record: {re.escape(words)}$"):
+        read_results(path)
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("box", BoundingBox(math.nan, 100.0, 96.0, 96.0),
+     "box must be finite: non-finite value in [nan, 100.0, 96.0, 96.0]"),
+    # finite in float64, Infinity or 0.0 in the float32 that the file stores
+    ("box", BoundingBox(1e39, 100.0, 96.0, 96.0),
+     "box must be finite: non-finite value in [inf, 100.0, 96.0, 96.0]"),
+    ("box", BoundingBox(100.0, 100.0, 1e-50, 96.0), "box width/height must be positive: 0.0x96.0"),
+    # FrameEntry refuses the rest, so these entries skip it as the tracker's do
+    ("distance", math.inf, "distance must be finite: non-finite value in [inf]"),
+    ("distance", math.nan, "distance must be finite: non-finite value in [nan]"),
+    ("distance", -0.5, "distance must be non-negative: -0.5"),
+    ("label", 5, "label must be a JSON string: 5"),
+    ("source", "guessed", "unknown entry source: 'guessed'"),
+])
+def test_write_results_refuses_what_read_results_refuses(tmp_path, field, value, words):
+    fields = {"label": "bob", "box": BOX, "distance": 0.25, "source": SOURCE_CLASSIFIED}
+    entry = tuple.__new__(FrameEntry, tuple({**fields, field: value}.values()))
+    if field == "box":  # as the float32 values the file would hold
+        with np.errstate(over="ignore"):
+            value = np.array([value.x, value.y, value.w, value.h], dtype=np.float32).tolist()
+    assert_results_refused_in_the_readers_words(
+        tmp_path, entry, words, lambda e: e.__setitem__(field, value))
+
+
+def test_write_results_refuses_exactly_the_entries_read_results_refuses(tmp_path):
+    # write_results screens a chunk before it runs read_results' checks: each
+    # entry below, alone in a file, is refused by the writer exactly when the
+    # reader refuses the line the writer would have spelled for it
+    boxes = [BOX, BoundingBox(math.nan, 100.0, 96.0, 96.0), BoundingBox(1e39, 100.0, 96.0, 96.0),
+             BoundingBox(100.0, 100.0, 1e-50, 96.0), BoundingBox(100.0, 100.0, 96.0, 1e39)]
+    path = tmp_path / "r.jsonl"
+    refused = 0
+    for label in ("bob", 5, None):
+        for box in boxes:
+            for distance in (0.0, -0.0, 0.25, 2.0, 1e300, -1e-300, -0.5, math.inf, math.nan):
+                for source in (SOURCE_OCCLUDED, "guessed"):
+                    entry = tuple.__new__(FrameEntry, (label, box, distance, source))
+                    with np.errstate(over="ignore"):
+                        corners = np.array([box.x, box.y, box.w, box.h], dtype=np.float32)
+                    line = json.dumps({"frame": 0, "entries": [{
+                        "label": label, "box": canonical_list(corners.tolist()),
+                        "distance": canonical_float(distance), "source": source}]})
+                    path.write_text(line + "\n")
+                    try:
+                        read_results(path)
+                    except ParseError:
+                        reader_refuses = True
+                    else:
+                        reader_refuses = False
+                    path.unlink()
+                    try:
+                        write_results([FrameResult(0, (entry,))], path)
+                    except ValueError:
+                        assert reader_refuses and not path.exists()
+                        refused += 1
+                    else:
+                        assert not reader_refuses
+                        assert read_results(path) == [FrameResult(0, (entry,))]
+    assert 0 < refused < 270
 
 
 def test_results_out_of_order_rejected(tmp_path):

@@ -8,6 +8,7 @@ import dataclasses
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from prototrack import tracker
 from prototrack.errors import EmptyStream, OutOfOrderFrame
 from prototrack.gallery import Gallery, Prototype
 from prototrack.recognizer import GalleryIndex, RecognizerConfig
+from prototrack.stream_io import read_gallery, read_stream, write_results
 from prototrack.tracker import (
     NEW_FACE_ACTIVE,
     TrackedFace,
@@ -33,6 +35,7 @@ from prototrack.tracker import (
     step,
 )
 from prototrack.types import (
+    ENTRY_SOURCES,
     SOURCE_CLASSIFIED,
     SOURCE_OCCLUDED,
     SOURCE_REUSED,
@@ -1023,3 +1026,57 @@ def test_run_matches_the_former_step(policy, monkeypatch):
                 exact(list(getattr(want, pool).items()))
         seen["no gallery"] += index is None
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# the tracker builds its records without FrameEntry's checks
+
+
+def assert_entries_pass_the_constructor(results):
+    """Every record the tracker built unchecked is one that the public
+    constructors build, equal bit for bit and type for type."""
+    for r in results:
+        assert exact(FrameResult(*r)) == exact(r)
+        for e in r.entries:
+            assert exact(FrameEntry(*e)) == exact(e)
+
+
+@pytest.mark.parametrize("policy", [tracker.NEW_FACE_INACTIVE, NEW_FACE_ACTIVE])
+def test_unchecked_entries_rebuild_through_the_public_constructor(policy):
+    # the seeded streams of test_run_matches_the_former_step, then the fixture
+    rng = np.random.default_rng(1601 if policy == NEW_FACE_ACTIVE else 1607)
+    sources = set()
+    for _ in range(400):
+        frames, window, index, config, frame_area = random_case(rng, policy)
+        config = dataclasses.replace(config, init_window_seconds=(window - 0.5) / config.fps)
+        results = run(frames, index, config, frame_area).results
+        assert_entries_pass_the_constructor(results)
+        sources.update(e.source for r in results for e in r.entries)
+    assert sources == set(ENTRY_SOURCES)
+    data = Path(__file__).parent / "data"
+    header, frames = read_stream(data / "tracker_fixture_stream.jsonl")
+    state = run(frames, read_gallery(data / "tracker_fixture_gallery.json"),
+                TrackerConfig(fps=header.fps, new_face_policy=policy), header.frame_area)
+    assert_entries_pass_the_constructor(state.results)
+
+
+@pytest.mark.parametrize("distance, words", [
+    (-1.0, "distance must be non-negative: -1.0"),
+    (math.nan, "distance must be finite: non-finite value in [nan]"),
+    (math.inf, "distance must be finite: non-finite value in [inf]"),
+])
+def test_a_callers_bad_last_distance_is_refused_by_write_results(tmp_path, distance, words):
+    # step takes a caller-built face's last_distance into its reused and
+    # occluded entries unchecked; write_results refuses to write either
+    box = BoundingBox(40.0, 40.0, 30.0, 30.0)
+    for detections in ([det(1, box, one_hot(7))], []):
+        face = TrackedFace("p0", box, 10, 10, 10, distance)
+        state = step(TrackerState(active={"p0": face}, frame_cursor=0),
+                     1, detections, gallery(), cfg())
+        (entry,) = [e for e in state.results[-1].entries if e.label == "p0"]
+        assert entry.source == (SOURCE_REUSED if detections else SOURCE_OCCLUDED)
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(ValueError) as exc:
+            write_results(state.results, path)
+        assert str(exc.value) == f"frame 1: {words}"
+        assert not path.exists()

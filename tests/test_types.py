@@ -193,6 +193,8 @@ def test_frame_entry_validates_source_and_distance():
         FrameEntry("alice", box, -0.1, SOURCE_CLASSIFIED)
     with pytest.raises(ValueError):
         FrameEntry("alice", box, float("nan"), SOURCE_CLASSIFIED)
+    with pytest.raises(ValueError):
+        FrameEntry("alice", box, float("inf"), SOURCE_CLASSIFIED)
 
 
 def test_frame_result_labels_and_duplicates():
@@ -261,6 +263,7 @@ def test_frame_records_compare_and_hash_by_value():
     ({"source": "guessed"}, "unknown entry source: 'guessed'"),
     ({"distance": -0.1}, "distance must be non-negative: -0.1"),
     ({"distance": float("nan")}, "distance must be non-negative: nan"),
+    ({"distance": float("inf")}, "distance must be finite: inf"),
 ])
 def test_frame_entry_validation_errors(changes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -22,6 +22,23 @@ gives the scenario's detection count and the process's peak RSS
 (``ru_maxrss``) after generating it and after the passes: the generated
 stream is held in memory throughout, so this is its footprint.
 
+With ``--against SRC`` the tool compares this checkout's tracker with the
+one in another checkout's ``src`` directory instead, for example the base
+branch of a change:
+
+    python tools/step_profile.py --scenario tests/data/demo_scenario.cfg --against ../base/src
+
+The other checkout's ``prototrack`` is imported under the name
+``prototrack_against`` (every import inside the package is relative) and
+indexes the same gallery. Both trackers run the same frames ``--passes``
+times, interleaved frame by frame: the two initial windows, then each
+frame's two `step()` calls, the two sides taking turns to go first from
+one pass to the next. The table gives each side's initial window, its
+steps and their total, each the sum of the fastest time of each call over
+the passes, and the last line the ratio of the other side's total to this
+side's (above 1 when this checkout is faster). The exit status is 1 when
+the two trackers' results or classify counts differ in any pass.
+
 OpenBLAS, OpenMP and MKL run on one thread unless the environment already
 says otherwise.
 """
@@ -30,9 +47,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import importlib.util
 import math
 import os
 import resource
+import struct
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -110,11 +130,11 @@ def peak_rss_mb():
 
 
 def setup(stream, train_seconds, k):
-    """(test frames, GalleryIndex, TrackerConfig, frame area) of a generated
+    """(test frames, gallery, TrackerConfig, frame area) of a generated
     scenario."""
     tracks, test = synth.split_train_test(stream, train_seconds)
-    index = GalleryIndex(build_gallery_kmeans(tracks, k=k, seed=0))
-    return test.frames, index, tracker.TrackerConfig(fps=test.fps), test.frame_area
+    gallery = build_gallery_kmeans(tracks, k=k, seed=0)
+    return test.frames, gallery, tracker.TrackerConfig(fps=test.fps), test.frame_area
 
 
 def table(passes):
@@ -134,11 +154,88 @@ def table(passes):
     return "\n".join(lines)
 
 
+def load_package(src, name="prototrack_against"):
+    """The prototrack package under another checkout's `src` directory,
+    imported as `name` beside this checkout's."""
+    init = Path(src) / "prototrack" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def exact_results(results):
+    """FrameResults with every number spelled as its float64 bits, so that
+    == compares records of either checkout bit for bit."""
+    bits = struct.Struct("<d").pack
+    return [(r.frame, [(e.label, tuple(map(bits, (e.box.x, e.box.y, e.box.w, e.box.h))),
+                        bits(e.distance), e.source) for e in r.entries])
+            for r in results]
+
+
+def interleaved_passes(frames, sides, passes):
+    """Run the two sides' trackers `passes` times over `frames`, interleaved
+    frame by frame, the sides taking turns to go first from pass to pass.
+
+    sides holds one (tracker module, index, TrackerConfig, frame area) per
+    side. Returns (fastest, same): per side, the fastest time of its initial
+    window and then of each step() over the passes; and whether the sides'
+    results and classify counts were equal in every pass.
+    """
+    window = frames[:sides[0][2].window_frames()]
+    rest = frames[len(window):]
+    fastest = [[math.inf] * (1 + len(rest)) for _ in sides]
+    same = True
+    for p in range(passes):
+        order = (0, 1) if p % 2 == 0 else (1, 0)
+        states = [None, None]
+        gc.collect()
+        for s in order:
+            module, index, cfg, frame_area = sides[s]
+            t0 = perf_counter()
+            states[s] = module.run_initial_window(window, index, cfg, frame_area)
+            fastest[s][0] = min(fastest[s][0], perf_counter() - t0)
+        for i, (frame_index, detections) in enumerate(rest, 1):
+            for s in order:
+                module, index, cfg, frame_area = sides[s]
+                t0 = perf_counter()
+                module.step(states[s], frame_index, detections, index, cfg, frame_area)
+                fastest[s][i] = min(fastest[s][i], perf_counter() - t0)
+        a, b = states
+        same = same and a.classify_calls == b.classify_calls and \
+            exact_results(a.results) == exact_results(b.results)
+    return fastest, same
+
+
+def against(args, frames, gallery, cfg, frame_area):
+    """The --against report; 0 when both trackers give the same results."""
+    other = load_package(args.against)
+    other_tracker = importlib.import_module(f"{other.__name__}.tracker")
+    other_index = importlib.import_module(f"{other.__name__}.recognizer").GalleryIndex(gallery)
+    other_cfg = other_tracker.TrackerConfig(fps=cfg.fps)
+    fastest, same = interleaved_passes(frames, [
+        (tracker, GalleryIndex(gallery), cfg, frame_area),
+        (other_tracker, other_index, other_cfg, frame_area)], args.passes)
+    print(f"against: {args.against}; {args.passes} passes interleaved frame by frame, "
+          f"fastest of each call")
+    print(f"{'side':<9}{'window_us':>11}{'steps':>7}{'steps_us':>11}{'total_us':>11}")
+    for name, calls in zip(("this", "against"), fastest):
+        print(f"{name:<9}{calls[0] * 1e6:>11.1f}{len(calls) - 1:>7}"
+              f"{sum(calls[1:]) * 1e6:>11.1f}{sum(calls) * 1e6:>11.1f}")
+    print(f"ratio against/this {sum(fastest[1]) / sum(fastest[0]):.3f}; results "
+          + ("identical" if same else "DIFFER"))
+    return 0 if same else 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--scenario", required=True, type=Path, help="scenario config file")
     ap.add_argument("--passes", type=int, default=3, help="tracker passes over the frames")
     ap.add_argument("--k", type=int, default=10, help="k-means prototypes per person")
+    ap.add_argument("--against", type=Path, metavar="SRC",
+                    help="compare with the tracker under another checkout's src directory")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
@@ -146,8 +243,12 @@ def main(argv=None):
     stream = synth.generate(spec)
     detections = sum(len(dets) for _, dets in stream.frames)
     generated_mb = peak_rss_mb()
-    frames, index, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
+    frames, gallery, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
     del stream  # the passes hold the test frames and the gallery only
+    if args.against:
+        print(f"scenario: {args.scenario}")
+        return against(args, frames, gallery, cfg, frame_area)
+    index = GalleryIndex(gallery)
     passes = []
     for _ in range(args.passes):
         state, *timings = timed_pass(frames, index, cfg, frame_area)
