@@ -42,7 +42,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from numbers import Integral
 from operator import getitem
@@ -588,6 +588,10 @@ def read_truth(path):
         raise ParseError(f"bad truth document: {exc}")
 
 
+# each entry source as write_results spells it in JSON
+_SOURCE_TEXT = {source: json.dumps(source) for source in ENTRY_SOURCES}
+
+
 def write_results(results, path) -> None:
     """Write FrameResults as JSONL, one frame per line.
 
@@ -599,6 +603,7 @@ def write_results(results, path) -> None:
     file is written under a temporary name and moved into place as
     write_stream's is."""
     results = _in_order(results)
+    label_text = cache(json.dumps)  # a file holds few distinct labels
     with _replacing(path) as fh:
         # boxes are formatted a few frames at a time: one bulk call per frame
         # costs more than the boxes, one per file raises the peak memory
@@ -620,8 +625,8 @@ def write_results(results, path) -> None:
             for frame, frame_entries in chunk:
                 text = ",".join([
                     '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (
-                        json.dumps(e.label), next(boxes), float_text(e.distance),
-                        json.dumps(e.source))
+                        label_text(e.label), next(boxes), float_text(e.distance),
+                        _SOURCE_TEXT[e.source])
                     for e in frame_entries
                 ])
                 fh.write('{"frame":%d,"entries":[%s]}\n' % (frame, text))

@@ -32,6 +32,12 @@ Per frame the order of business is:
 5. no frame asserts a named identity twice: each named entry other than
    its label's winner is relabeled Unknown, and the placeholders follow.
 
+A frame whose kept detections are all reused by overlap skips steps 3 and
+5, which is exact because overlap names each active label at most once and
+never an inactive one: nothing is classified, no label is named twice, and
+step 4 misses every inactive identity and every unmatched active one as
+before.
+
 A limit of this state machine: an inactive identity's appearance ratio
 rises only on frames where the recognizer names it. So a person named on
 fewer than promote_ratio of their frames is never promoted, reuse never
@@ -303,39 +309,42 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
             entry_slots[di] = _record(
                 FrameEntry, (label, face.last_box, face.last_distance, SOURCE_REUSED))
     # for step 4b
-    missing = sorted(active.keys() - matched_labels) if active else ()
+    missing = (sorted(active.keys() - matched_labels)
+               if len(matched_labels) < len(active) else ())
 
     # 3. classify everything the reuse pass did not claim, then rank each
-    # named label's entries, reused or classified, in the frame's one table
-    rest = [di for di, slot in enumerate(entry_slots) if slot is None]
-    if rest:
+    # named label's entries, reused or classified, in the frame's one table.
+    # A frame whose kept detections overlap claimed in full leaves the table
+    # empty and skips step 5 (see the module docstring for why that is exact)
+    winners = {}  # label -> (distance, detection index) of its closest entry
+    if len(matched_labels) < len(kept):
+        rest = [di for di, slot in enumerate(entry_slots) if slot is None]
         labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
         for di, label, distance in zip(rest, labels, distances):
             entry_slots[di] = _record(
                 FrameEntry, (label, kept[di].box, distance, SOURCE_CLASSIFIED))
-    winners = {}  # label -> (distance, detection index) of its closest entry
-    for di, e in enumerate(entry_slots):
-        best = winners.get(e.label)
-        if e.label != UNKNOWN and (best is None or (e.distance, di) < best):
-            winners[e.label] = (e.distance, di)
+        for di, e in enumerate(entry_slots):
+            best = winners.get(e.label)
+            if e.label != UNKNOWN and (best is None or (e.distance, di) < best):
+                winners[e.label] = (e.distance, di)
 
-    # overlap names only active labels, so an inactive or new label's winner
-    # is classified: it updates, admits or promotes the identity. An active
-    # label named by classification alone keeps its entry, and its identity
-    # runs through step 4b as missing
-    for label, (distance, di) in winners.items():
-        if label in active:
-            continue
-        box = kept[di].box
-        if label in inactive:
-            face = inactive[label]
-            _observe(face, box, distance, cfg)
-            if not window and face.appearance_ratio >= cfg.promote_ratio:
-                _promote(state, face, cfg)
-        else:
-            face = inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
-            if not window and cfg.new_face_policy == NEW_FACE_ACTIVE:
-                _promote(state, face, cfg)
+        # overlap names only active labels, so an inactive or new label's
+        # winner is classified: it updates, admits or promotes the identity.
+        # An active label named by classification alone keeps its entry, and
+        # its identity runs through step 4b as missing
+        for label, (distance, di) in winners.items():
+            if label in active:
+                continue
+            box = kept[di].box
+            if label in inactive:
+                face = inactive[label]
+                _observe(face, box, distance, cfg)
+                if not window and face.appearance_ratio >= cfg.promote_ratio:
+                    _promote(state, face, cfg)
+            else:
+                face = inactive[label] = TrackedFace(label, box, 1, 1, 1, distance)
+                if not window and cfg.new_face_policy == NEW_FACE_ACTIVE:
+                    _promote(state, face, cfg)
 
     # 4a. inactive identities that no detection named lose confidence
     for label, face in inactive.items():
@@ -356,10 +365,10 @@ def _step(state, frame_index, detections, gallery, cfg, frame_area, window):
                 FrameEntry, (label, face.last_box, face.last_distance, SOURCE_OCCLUDED)))
 
     # 5. a named label stays on its winner alone, the rest turn Unknown;
-    # the placeholders go last
-    entries = [e if e.label == UNKNOWN or winners[e.label][1] == di
-               else _record(FrameEntry, (UNKNOWN, e.box, e.distance, e.source))
-               for di, e in enumerate(entry_slots)]
+    # with no winners the entries stand as they are. The placeholders go last
+    entries = ([e if e.label == UNKNOWN or winners[e.label][1] == di
+                else _record(FrameEntry, (UNKNOWN, e.box, e.distance, e.source))
+                for di, e in enumerate(entry_slots)] if winners else entry_slots)
     state.results.append(_record(FrameResult, (frame_index, (*entries, *placeholders))))
     return state
 

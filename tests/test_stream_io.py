@@ -259,14 +259,19 @@ def test_record_writers_match_canonical_json(tmp_path):
     line = json.dumps({"frame": 3, "detections": records}, separators=(",", ":"))
     assert path.read_text().splitlines()[1] == line
 
+    # labels that JSON escapes (a quote, a backslash, a control character,
+    # non-ASCII text), each spelled once per call and then repeated
     path = tmp_path / "r.jsonl"
-    entries = (FrameEntry("zoë", box, 1 / 3, SOURCE_REUSED),)
-    write_results([FrameResult(9, entries)], path)
-    line = json.dumps({"frame": 9, "entries": [{
-        "label": "zoë", "box": canonical_list([box.x, box.y, box.w, box.h]),
-        "distance": canonical_float(1 / 3), "source": SOURCE_REUSED}]},
-        separators=(",", ":"))
-    assert path.read_text() == line + "\n"
+    labels = ["zoë", 'say "hi"', "back\\slash", "tab\tbed", "zoë", UNKNOWN, 'say "hi"']
+    sources = [SOURCE_REUSED, SOURCE_CLASSIFIED, SOURCE_OCCLUDED] * 3
+    entries = tuple(FrameEntry(label, box, 1 / 3, source)
+                    for label, source in zip(labels, sources))
+    write_results([FrameResult(9, entries), FrameResult(10, entries[::-1])], path)
+    lines = [json.dumps({"frame": frame, "entries": [{
+        "label": e.label, "box": canonical_list([box.x, box.y, box.w, box.h]),
+        "distance": canonical_float(1 / 3), "source": e.source} for e in frame_entries]},
+        separators=(",", ":")) for frame, frame_entries in ((9, entries), (10, entries[::-1]))]
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
 
 
 # ------------------------------------------------------- detection streams

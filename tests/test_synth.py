@@ -1,6 +1,7 @@
 """Synthetic benchmark generator: determinism, events, separability, splits."""
 
 import dataclasses
+import importlib
 import importlib.util
 import json
 import typing
@@ -251,6 +252,15 @@ def test_classroom_scenario_is_what_its_script_writes(tmp_path):
         assert 1200 <= starts[0] < 1260 and starts[-1] < 1800 - 14
         assert all(50 <= b - a <= 70 for a, b in zip(starts, starts[1:]))
     assert all(e.kind == "occlusion" and 3 <= e.length <= 14 for e in spec.events)
+
+
+def test_reuse_scenario_is_files_512d_at_inputs_seed_7(monkeypatch):
+    """reuse_scenario.cfg, the reuse-path input of tools/step_profile.py,
+    is perfbench's files_512d scenario at inputs seed 7."""
+    monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
+    workload = importlib.import_module("workload")
+    wanted = workload.scenario(workload.WORKLOADS["files_512d"], "full", 7)
+    assert load_scenario(DATA / "reuse_scenario.cfg") == wanted
 
 
 # ---------------------------------------------------------------------------

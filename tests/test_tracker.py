@@ -976,9 +976,17 @@ def reference_run(frames, gallery, cfg, frame_area, seen):
         _promote(state, face, cfg)
     for frame_index, detections in frames[len(window):]:
         active = set(state.active)
+        inactive = bool(state.inactive)
         reference_step(state, frame_index, detections, gallery, cfg, frame_area, window=False)
         seen["promoted"] += len(state.active.keys() - active)
         seen["demoted"] += len(state.inactive.keys() & active)
+        # a frame with detections, every one claimed by overlap: step()
+        # builds no winners table for it
+        entries = state.results[-1].entries
+        reused = {e.label for e in entries if e.source == SOURCE_REUSED}
+        if reused and all(e.source != SOURCE_CLASSIFIED for e in entries):
+            seen["reuse only, inactive tracked"] += inactive
+            seen["reuse only, active missing"] += bool(active - reused)
     return state
 
 
@@ -999,7 +1007,8 @@ def exact(value):
 def test_run_matches_the_former_step(policy, monkeypatch):
     rng = np.random.default_rng(1601 if policy == NEW_FACE_ACTIVE else 1607)
     seen = dict.fromkeys(("promoted", "demoted", "occluded", "placeholder dropped",
-                          "relabeled", "reused relabeled", "no gallery"), 0)
+                          "relabeled", "reused relabeled", "no gallery",
+                          "reuse only, inactive tracked", "reuse only, active missing"), 0)
 
     def counting_resolve(detected, placeholders, resolve=_resolve_frame):
         entries = resolve(detected, placeholders)
