@@ -66,6 +66,7 @@ from .types import (
     Detection,
     FrameEntry,
     FrameResult,
+    SOURCE_CLASSIFIED,
     _entry_fault,
     l2_normalize_rows,
 )
@@ -592,6 +593,18 @@ def read_truth(path):
 _SOURCE_TEXT = {source: json.dumps(source) for source in ENTRY_SOURCES}
 
 
+class _FloatTexts(dict):
+    """float_text of each number looked up, spelled on its first lookup. A
+    zero is spelled each time and never kept: 0.0 == -0.0, one key, but they
+    spell differently."""
+
+    def __missing__(self, x):
+        text = float_text(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_results(results, path) -> None:
     """Write FrameResults as JSONL, one frame per line.
 
@@ -608,6 +621,9 @@ def write_results(results, path) -> None:
         # boxes are formatted a few frames at a time: one bulk call per frame
         # costs more than the boxes, one per file raises the peak memory
         while chunk := list(islice(results, 64)):
+            # a reused or occluded entry repeats its identity's last distance
+            # from frame to frame; classified distances seldom repeat
+            repeated_text = _FloatTexts()
             entries = [e for _, frame_entries in chunk for e in frame_entries]
             with np.errstate(over="ignore"):  # past the float32 range: refused below
                 corners = _box_matrix([e.box for e in entries]).astype(np.float32)
@@ -625,7 +641,9 @@ def write_results(results, path) -> None:
             for frame, frame_entries in chunk:
                 text = ",".join([
                     '{"label":%s,"box":%s,"distance":%s,"source":%s}' % (
-                        label_text(e.label), next(boxes), float_text(e.distance),
+                        label_text(e.label), next(boxes),
+                        float_text(e.distance) if e.source == SOURCE_CLASSIFIED
+                        else repeated_text[e.distance],
                         _SOURCE_TEXT[e.source])
                     for e in frame_entries
                 ])

@@ -11,10 +11,14 @@ draw order is fixed, the output is a pure function of the scenario spec, and eve
 Per-frame draw order, for the record: for each participant in label order, a
 pose index, a d-dimensional noise vector (only when noise_sigma > 0), and a
 2-vector of box jitter (only when motion_sigma > 0); then the same for each
-background event active in that frame, in event order. Building the
-embeddings never draws: they are the rows of one (detections, dim) matrix,
-which holds the noise after the draws and is then shifted to the pose
-centers and unit-normalized in place, bit for bit as before.
+background event active in that frame, in event order. Each face's noise and
+jitter are one call's standard normals, the noise first: the same numbers
+in the same order as the separate normal(0, noise_sigma, d) and
+normal(0, motion_sigma, 2) calls that once drew them, since normal(0, s) is
+0.0 + s * z over that stream. Building the embeddings never draws: they are
+the rows of one (detections, dim) matrix, which holds the standard normals
+after the draws and is then scaled, shifted to the pose centers and
+unit-normalized in place, bit for bit as before.
 """
 
 from __future__ import annotations
@@ -200,16 +204,45 @@ def _presence_masks(spec: ScenarioSpec):
 # rows per block when the embeddings are finished after the draws
 _EMBED_BLOCK = 512
 
+# The generator builds each Detection and its box with object.__new__ and the
+# slots' own setters, skipping the dataclass constructors, which set every
+# field through object.__setattr__ and so take about twice as long. The
+# records are the same; BoundingBox's one check holds by construction, since
+# every box here has a positive constant side.
+_new = object.__new__
+_set_box = tuple(BoundingBox.__dict__[f].__set__ for f in ("x", "y", "w", "h"))
+_set_detection = tuple(Detection.__dict__[f].__set__
+                       for f in ("frame", "box", "embedding", "gt_label"))
+
+
+def _detection(frame, x, y, size, embedding, label):
+    """Detection(frame, BoundingBox(x, y, size, size), embedding, label)
+    for a positive size."""
+    set_x, set_y, set_w, set_h = _set_box
+    box = _new(BoundingBox)
+    set_x(box, x)
+    set_y(box, y)
+    set_w(box, size)
+    set_h(box, size)
+    set_frame, set_box, set_embedding, set_label = _set_detection
+    detection = _new(Detection)
+    set_frame(detection, frame)
+    set_box(detection, box)
+    set_embedding(detection, embedding)
+    set_label(detection, label)
+    return detection
+
 
 def generate(spec: ScenarioSpec) -> GroundTruthStream:
     """Produce the full stream for a scenario. Deterministic in the spec.
 
     The draws follow the order in the module docstring. Every embedding is
-    a row of one (detections, dim) matrix: the draw loop writes each row's
-    noise and builds the detections around the rows, and a second pass then
-    adds each row's pose center and unit-normalizes the rows a block at a
-    time, bit for bit as one l2_normalize per row would. With noise_sigma 0
-    the rows are plain copies of their centers.
+    a row of one (detections, dim) matrix: the draw loop draws each face's
+    standard normals straight into the row its detection takes and builds
+    the detections around the rows, and a second pass then scales each
+    row's noise, adds its pose center and unit-normalizes the rows a block
+    at a time, bit for bit as one l2_normalize per row would. With
+    noise_sigma 0 the rows are plain copies of their centers.
     """
     rng = np.random.default_rng(spec.seed)
     dim = spec.embedding_dim
@@ -242,11 +275,20 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
     windows = [(ev.start, min(ev.start + ev.length, n)) for ev in background_events]
     total = (sum(int(np.count_nonzero(in_scene[l] & ~occluded[l])) for l in labels)
              + sum(max(0, stop - start) for start, stop in windows))
-    emb = np.empty((total, dim))
+    noise_sigma, motion_sigma = spec.noise_sigma, spec.motion_sigma
+    # each face's draw per frame: n_noise noise z's, then two jitter z's,
+    # taken in one call into the row its detection gets. A face with no
+    # detection leaves its draw for the next face to overwrite; the n_draw
+    # slack past the last row takes the draws after the last detection
+    n_noise = dim if noise_sigma > 0 else 0
+    jitter = motion_sigma > 0
+    n_draw = n_noise + (2 if jitter else 0)
+    flat = np.empty(total * dim + n_draw)
+    emb = flat[:total * dim].reshape(total, dim)
+    draw = rng.standard_normal
     sources = []
 
     width, height = spec.frame_width, spec.frame_height
-    noise_sigma, motion_sigma = spec.noise_sigma, spec.motion_sigma
     # participants start on a grid, background faces along the top edge
     cols = math.ceil(math.sqrt(len(labels)))
     rows = math.ceil(len(labels) / cols)
@@ -267,14 +309,18 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
     frames = []
     presence = {}
     row = 0
+    jx = jy = 0.0
     for f in range(n):
         detections = []
         present_now = []
         for i, label in enumerate(labels):
             pose = int(rng.integers(poses))
-            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
-            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
-                      if motion_sigma > 0 else (0.0, 0.0))
+            if n_draw:
+                lo = row * dim
+                draw(out=flat[lo:lo + n_draw])
+                if jitter:  # normal(0, s) is 0.0 + s * z, bit for bit
+                    jx = flat.item(lo + n_noise) * motion_sigma + 0.0
+                    jy = flat.item(lo + n_noise + 1) * motion_sigma + 0.0
             # min(max(v, lo), hi) as conditionals: max keeps v unless lo > v,
             # min keeps m unless hi < m
             x, y = xs[i] + jx, ys[i] + jy
@@ -286,41 +332,42 @@ def generate(spec: ScenarioSpec) -> GroundTruthStream:
             present_now.append(label)
             if hidden[i][f]:
                 continue
-            if noise is not None:
-                emb[row] = noise
             sources.append(i * poses + pose)
             x, y = x - half, y - half
             x, y = 0.0 if 0.0 > x else x, 0.0 if 0.0 > y else y
             x = box_x_hi if box_x_hi < x else x
             y = box_y_hi if box_y_hi < y else y
-            detections.append(Detection(
-                f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row], label))
+            detections.append(_detection(f, x, y, FACE_SIZE, emb[row], label))
             row += 1
         for j, (start, stop) in enumerate(windows):
             if not start <= f < stop:
                 continue
-            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
-            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
-                      if motion_sigma > 0 else (0.0, 0.0))
+            if n_draw:
+                lo = row * dim
+                draw(out=flat[lo:lo + n_draw])
+                if jitter:
+                    jx = flat.item(lo + n_noise) * motion_sigma + 0.0
+                    jy = flat.item(lo + n_noise + 1) * motion_sigma + 0.0
             bg_xs[j] += jx
             bg_ys[j] += jy
-            if noise is not None:
-                emb[row] = noise
             sources.append(len(labels) * poses + j)
             x = min(max(bg_xs[j] - bg_half, 0.0), bg_x_hi)
             y = min(max(bg_ys[j] - bg_half, 0.0), bg_y_hi)
-            detections.append(Detection(
-                f, BoundingBox(x, y, BACKGROUND_FACE_SIZE, BACKGROUND_FACE_SIZE), emb[row]))
+            detections.append(_detection(f, x, y, BACKGROUND_FACE_SIZE, emb[row], None))
             row += 1
         frames.append((f, detections))
         presence[f] = tuple(present_now)
 
-    # block-wise, so the gathered centers never take a second full matrix
+    # block-wise, so the gathered centers never take a second full matrix;
+    # the noise is s * z + 0.0 before the center is added, as normal(0, s)
+    # spells it, so -0.0 turns 0.0 as it did there
     sources = np.array(sources, dtype=np.intp)
     for lo in range(0, total, _EMBED_BLOCK):
         block = emb[lo:lo + _EMBED_BLOCK]
         picked = centers[sources[lo:lo + _EMBED_BLOCK]]
         if noise_sigma > 0:
+            block *= noise_sigma
+            block += 0.0
             block += picked
             l2_normalize_rows(block, out=block)
         else:

@@ -176,9 +176,8 @@ def _classify_batch(state, index, detections, cfg):
     """Classify kept detections, counting recognizer work on the state.
 
     Returns (labels, distances) as two lists, one item per detection.
+    detections is never empty: _step calls it only for what overlap left.
     """
-    if not detections:
-        return [], []
     if index is None:
         return [UNKNOWN] * len(detections), [_EMPTY_GALLERY_DISTANCE] * len(detections)
     state.classify_calls += len(detections)

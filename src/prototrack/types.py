@@ -24,7 +24,9 @@ only valid ones (see tracker._record), while the last_distance of a
 TrackedFace a caller built is the caller's to keep. stream_io.write_results
 checks every entry it is handed against read_results' rules, FrameEntry's
 through _entry_fault, before it writes a byte, so no record that skipped
-the constructor reaches a file the reader refuses.
+the constructor reaches a file the reader refuses. synth.generate likewise
+builds its Detections and boxes without their constructors; its boxes'
+sides are positive constants.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 and reports, per pass, the initial window's time, the steps, the p50 and
 p99 step time, the time spent classifying and finding overlap candidates,
 and the garbage collections of each generation, then the scenario's
-detection count and the process's peak RSS. With --against it compares the
-tracker with another checkout's, interleaved frame by frame."""
+detection count and the process's peak RSS. With --against it compares
+synth.generate with another checkout's, the sides taking turns, and then the
+tracker, interleaved frame by frame."""
 
 import importlib.util
 import os
@@ -55,17 +56,41 @@ def test_step_profile_against_its_own_src_on_the_demo():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6
-    assert lines[1] == f"against: {ROOT / 'src'}; 2 passes interleaved frame by frame, " \
-                       "fastest of each call"
-    assert lines[2].split() == ["side", "window_us", "steps", "steps_us", "total_us"]
+    assert len(lines) == 10
+    assert lines[1] == f"against: {ROOT / 'src'}; 2 passes, generate taking turns and the " \
+                       "trackers interleaved frame by frame, fastest of each call"
+    assert lines[2].split() == ["side", "generate_ms"]
     for name, line in zip(("this", "against"), lines[3:5]):
+        row = line.split()
+        assert row[0] == name and float(row[1]) > 0
+    ratio = re.fullmatch(r"ratio against/this ([0-9.]+); streams identical", lines[5])
+    assert ratio and float(ratio.group(1)) > 0, lines[5]
+    assert lines[6].split() == ["side", "window_us", "steps", "steps_us", "total_us"]
+    for name, line in zip(("this", "against"), lines[7:9]):
         row = line.split()
         window, steps, total = float(row[1]), float(row[3]), float(row[4])
         assert row[0] == name and row[2] == "20"
         assert window > 0 and steps > 0 and total == pytest.approx(window + steps, abs=0.2)
-    ratio = re.fullmatch(r"ratio against/this ([0-9.]+); results identical", lines[5])
-    assert ratio and float(ratio.group(1)) > 0, lines[5]
+    ratio = re.fullmatch(r"ratio against/this ([0-9.]+); results identical", lines[9])
+    assert ratio and float(ratio.group(1)) > 0, lines[9]
+
+
+def test_step_profile_against_exits_1_when_the_streams_differ(tmp_path):
+    # another src whose faces are a pixel smaller: same draws, other boxes
+    shutil.copytree(ROOT / "src" / "prototrack", tmp_path / "prototrack")
+    synth = tmp_path / "prototrack" / "synth.py"
+    text = synth.read_text()
+    assert text.count("FACE_SIZE = 96.0") == 1
+    synth.write_text(text.replace("FACE_SIZE = 96.0", "FACE_SIZE = 95.0"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_profile.py"),
+         "--scenario", str(ROOT / "tests" / "data" / "demo_scenario.cfg"),
+         "--passes", "1", "--against", str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # both trackers run on this side's stream, so only the streams differ
+    assert lines[5].endswith("; streams DIFFER") and lines[-1].endswith("; results identical")
 
 
 def test_step_profile_against_exits_1_when_the_results_differ(tmp_path):

@@ -18,6 +18,7 @@ from prototrack.errors import (
     UnsupportedVersion,
 )
 from prototrack.evaluate import AccuracyReport, SweepPoint
+from prototrack.floattext import float_text
 from prototrack.gallery import Gallery, Prototype, TrainingTrack
 from prototrack.stream_io import (
     STREAM_VERSION,
@@ -272,6 +273,23 @@ def test_record_writers_match_canonical_json(tmp_path):
         "distance": canonical_float(1 / 3), "source": e.source} for e in frame_entries]},
         separators=(",", ":")) for frame, frame_entries in ((9, entries), (10, entries[::-1]))]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+
+
+def test_write_results_spells_each_distance_as_float_text(tmp_path):
+    # 0.0 and -0.0 are one dict key but spell differently; repeats of a
+    # distance, in either order around a zero and under any source, spell
+    # as their first time
+    distances = [0.0, -0.0, 0.0, 1 / 3, -0.0, 1 / 3, 0.1 + 0.2, 1e-12, np.float64(1 / 3),
+                 0.30000000000000004, 2.0, -0.0, 2.0, 1e-12, 0.0, 1 / 3]
+    sources = [SOURCE_REUSED, SOURCE_OCCLUDED] * 7 + [SOURCE_CLASSIFIED] * 2
+    entries = [FrameEntry("p01", BOX, d, source) for d, source in zip(distances, sources)]
+    path = tmp_path / "r.jsonl"
+    write_results([FrameResult(0, tuple(entries[:7])), FrameResult(1, tuple(entries[7:]))], path)
+    spelled = [re.search(r'"distance":([^,]*),', e).group(1)
+               for line in path.read_text().splitlines()
+               for e in line.split('{"label"')[1:]]
+    assert spelled == [float_text(d) for d in distances]
+    assert spelled[:3] == ["0.0", "-0.0", "0.0"]
 
 
 # ------------------------------------------------------- detection streams

@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import math
+import struct
 import typing
 from pathlib import Path
 
@@ -12,16 +14,25 @@ import pytest
 
 from prototrack.errors import InfeasibleSpec, InvalidSplit, ParseError
 from prototrack.synth import (
+    _EMBED_BLOCK,
+    BACKGROUND_FACE_SIZE,
     BACKGROUND_SEPARATION,
+    EVENT_BACKGROUND,
+    FACE_SIZE,
+    MAX_DRAWS,
+    MIN_SEPARATION,
     Event,
+    GroundTruthStream,
     ScenarioSpec,
+    _draw_separated,
+    _presence_masks,
     default_train_seconds,
     generate,
     load_scenario,
     parse_scenario,
     split_train_test,
 )
-from prototrack.types import cosine_distance
+from prototrack.types import BoundingBox, Detection, cosine_distance, l2_normalize_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -261,6 +272,247 @@ def test_reuse_scenario_is_files_512d_at_inputs_seed_7(monkeypatch):
     workload = importlib.import_module("workload")
     wanted = workload.scenario(workload.WORKLOADS["files_512d"], "full", 7)
     assert load_scenario(DATA / "reuse_scenario.cfg") == wanted
+
+
+def test_churn_scenario_is_churn_classify_at_inputs_seed_7(monkeypatch):
+    """churn_scenario.cfg, the generation and classify-path input of
+    tools/step_profile.py, is perfbench's churn_classify scenario at inputs
+    seed 7."""
+    monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
+    workload = importlib.import_module("workload")
+    wanted = workload.scenario(workload.WORKLOADS["churn_classify"], "full", 7)
+    assert load_scenario(DATA / "churn_scenario.cfg") == wanted
+
+
+# ---------------------------------------------------------------------------
+# generate against its three-call form
+
+
+# kept verbatim: the draw loop as it was when each face took three Generator
+# calls per frame (a pose, a normal(0, noise_sigma, dim) noise vector and a
+# normal(0, motion_sigma, 2) jitter), the noise copied into its row
+def reference_generate(spec: ScenarioSpec) -> GroundTruthStream:
+    """Produce the full stream for a scenario. Deterministic in the spec.
+
+    The draws follow the order in the module docstring. Every embedding is
+    a row of one (detections, dim) matrix: the draw loop writes each row's
+    noise and builds the detections around the rows, and a second pass then
+    adds each row's pose center and unit-normalizes the rows a block at a
+    time, bit for bit as one l2_normalize per row would. With noise_sigma 0
+    the rows are plain copies of their centers.
+    """
+    rng = np.random.default_rng(spec.seed)
+    dim = spec.embedding_dim
+    labels = spec.labels
+    poses = spec.pose_clusters_per_participant
+
+    # pose centers: free within a participant, separated across participants
+    budget = MAX_DRAWS
+    centers = []
+    for _ in labels:
+        own = []
+        for _ in range(poses):
+            v, used = _draw_separated(rng, dim, centers, MIN_SEPARATION, budget)
+            budget -= used
+            own.append(v)
+        centers += own
+
+    background_events = [e for e in spec.events if e.kind == EVENT_BACKGROUND]
+    background_dirs = []
+    for _ in background_events:
+        v, used = _draw_separated(rng, dim, centers, BACKGROUND_SEPARATION, budget)
+        budget -= used
+        background_dirs.append(v)
+    # participant i's pose p is row i * poses + p, background event j's
+    # direction row len(labels) * poses + j
+    centers = np.array(centers + background_dirs)
+
+    in_scene, occluded = _presence_masks(spec)
+    n = spec.n_frames
+    windows = [(ev.start, min(ev.start + ev.length, n)) for ev in background_events]
+    total = (sum(int(np.count_nonzero(in_scene[l] & ~occluded[l])) for l in labels)
+             + sum(max(0, stop - start) for start, stop in windows))
+    emb = np.empty((total, dim))
+    sources = []
+
+    width, height = spec.frame_width, spec.frame_height
+    noise_sigma, motion_sigma = spec.noise_sigma, spec.motion_sigma
+    # participants start on a grid, background faces along the top edge
+    cols = math.ceil(math.sqrt(len(labels)))
+    rows = math.ceil(len(labels) / cols)
+    xs = [width * (i % cols + 0.5) / cols for i in range(len(labels))]
+    ys = [height * (i // cols + 0.5) / rows for i in range(len(labels))]
+    n_bg = len(background_events)
+    bg_xs = [width * (j + 1) / (n_bg + 1) for j in range(n_bg)]
+    bg_ys = [40.0] * n_bg
+    scene = [in_scene[l].tolist() for l in labels]
+    hidden = [occluded[l].tolist() for l in labels]
+
+    half = FACE_SIZE / 2
+    x_hi, y_hi = width - half, height - half
+    box_x_hi, box_y_hi = width - FACE_SIZE, height - FACE_SIZE
+    bg_half = BACKGROUND_FACE_SIZE / 2
+    bg_x_hi, bg_y_hi = width - BACKGROUND_FACE_SIZE, height - BACKGROUND_FACE_SIZE
+
+    frames = []
+    presence = {}
+    row = 0
+    for f in range(n):
+        detections = []
+        present_now = []
+        for i, label in enumerate(labels):
+            pose = int(rng.integers(poses))
+            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
+            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
+                      if motion_sigma > 0 else (0.0, 0.0))
+            # min(max(v, lo), hi) as conditionals: max keeps v unless lo > v,
+            # min keeps m unless hi < m
+            x, y = xs[i] + jx, ys[i] + jy
+            x, y = half if half > x else x, half if half > y else y
+            xs[i] = x = x_hi if x_hi < x else x
+            ys[i] = y = y_hi if y_hi < y else y
+            if not scene[i][f]:
+                continue
+            present_now.append(label)
+            if hidden[i][f]:
+                continue
+            if noise is not None:
+                emb[row] = noise
+            sources.append(i * poses + pose)
+            x, y = x - half, y - half
+            x, y = 0.0 if 0.0 > x else x, 0.0 if 0.0 > y else y
+            x = box_x_hi if box_x_hi < x else x
+            y = box_y_hi if box_y_hi < y else y
+            detections.append(Detection(
+                f, BoundingBox(x, y, FACE_SIZE, FACE_SIZE), emb[row], label))
+            row += 1
+        for j, (start, stop) in enumerate(windows):
+            if not start <= f < stop:
+                continue
+            noise = rng.normal(0.0, noise_sigma, dim) if noise_sigma > 0 else None
+            jx, jy = (rng.normal(0.0, motion_sigma, 2).tolist()
+                      if motion_sigma > 0 else (0.0, 0.0))
+            bg_xs[j] += jx
+            bg_ys[j] += jy
+            if noise is not None:
+                emb[row] = noise
+            sources.append(len(labels) * poses + j)
+            x = min(max(bg_xs[j] - bg_half, 0.0), bg_x_hi)
+            y = min(max(bg_ys[j] - bg_half, 0.0), bg_y_hi)
+            detections.append(Detection(
+                f, BoundingBox(x, y, BACKGROUND_FACE_SIZE, BACKGROUND_FACE_SIZE), emb[row]))
+            row += 1
+        frames.append((f, detections))
+        presence[f] = tuple(present_now)
+
+    # block-wise, so the gathered centers never take a second full matrix
+    sources = np.array(sources, dtype=np.intp)
+    for lo in range(0, total, _EMBED_BLOCK):
+        block = emb[lo:lo + _EMBED_BLOCK]
+        picked = centers[sources[lo:lo + _EMBED_BLOCK]]
+        if noise_sigma > 0:
+            block += picked
+            l2_normalize_rows(block, out=block)
+        else:
+            block[...] = picked
+
+    return GroundTruthStream(
+        fps=spec.fps,
+        frame_width=width,
+        frame_height=height,
+        embedding_dim=dim,
+        frames=frames,
+        presence=presence,
+    )
+
+
+
+def differential_specs():
+    """48 small specs over the four (noise, motion) zero/non-zero pairs.
+
+    Each has an occlusion of p01, an exit of p02 with no length and a later
+    reenter (from the first frame in every fifth spec, so p02 is missing
+    from training), and one background face. Its tail is one of three: the last
+    participant exits for good and the background face is gone before the
+    end, so the last draws of the stream are absent faces' and land past
+    the last row; the background face runs past the end; or the last
+    participant's exit is timed. Every other spec has a frame so small that
+    the boxes clamp at its edges.
+    """
+    for case in range(48):
+        r = np.random.default_rng([25, case])
+        noise_sigma, motion_sigma = ((0.0, 0.0), (0.0, 6.0), (0.05, 0.0), (0.05, 6.0))[case % 4]
+        tail = case // 4 % 3
+        participants = 3 + case % 2
+        last = f"p0{participants}"
+        n = int(r.integers(24, 40))
+        occluded = int(r.integers(0, n - 6))
+        # p02 leaves at the start of every fifth spec: missing from training
+        gone = int(r.integers(0, n // 3)) if case % 5 else 0
+        back = int(r.integers(n // 2, n - 2))
+        events = [Event("occlusion", "p01", occluded, int(r.integers(1, 6))),
+                  Event("exit", "p02", gone, 0),
+                  Event("reenter", "p02", back)]
+        bg_start = int(r.integers(0, n // 2))
+        if tail == 0:
+            leaves = int(r.integers(n - 6, n - 1))
+            events += [Event("exit", last, leaves, 0),
+                       Event("background_face", "bg", bg_start, leaves - 1 - bg_start)]
+        elif tail == 1:
+            events.append(Event("background_face", "bg", bg_start, n))
+        else:
+            events += [Event("exit", last, int(r.integers(0, n - 8)), int(r.integers(1, 8))),
+                       Event("background_face", "bg", bg_start, int(r.integers(1, n // 2)))]
+        small = case // 2 % 2 == 0
+        yield ScenarioSpec(
+            participants=participants, duration_seconds=n / 10, seed=case,
+            pose_clusters_per_participant=int(r.integers(1, 4)),
+            embedding_dim=int(r.integers(8, 17)), noise_sigma=noise_sigma, fps=10.0,
+            motion_sigma=motion_sigma, events=tuple(r.permutation(events)),
+            frame_width=130 if small else 640, frame_height=110 if small else 480,
+            train_seconds=n / 30)
+
+
+def box_bits(box):
+    return [(type(v), struct.pack("<d", v)) for v in (box.x, box.y, box.w, box.h)]
+
+
+def test_generate_draws_the_numbers_of_its_three_call_form():
+    """One standard-normal draw per face and frame gives every embedding bit,
+    box, frame, label and presence of the former three Generator calls, in
+    records equal to those the dataclass constructors build."""
+    ends = set()
+    clamped = missing = 0
+    for spec in differential_specs():
+        got, want = generate(spec), reference_generate(spec)
+        assert got.presence == want.presence
+        assert [f for f, _ in got.frames] == [f for f, _ in want.frames]
+        for (_, dets), (_, ref) in zip(got.frames, want.frames):
+            assert [(type(d), d.frame, d.gt_label) for d in dets] == \
+                [(type(d), d.frame, d.gt_label) for d in ref]
+            assert [box_bits(d.box) for d in dets] == [box_bits(d.box) for d in ref]
+            assert [d.box for d in dets] == [d.box for d in ref]
+            assert all(np.array_equal(d.embedding.view(np.uint64), e.embedding.view(np.uint64))
+                       for d, e in zip(dets, ref))
+            clamped += any(d.box.x == 0.0 or d.box.x + d.box.w == spec.frame_width
+                           for d in dets)
+        train_seconds = default_train_seconds(spec)
+        got_tracks, got_test = split_train_test(got, train_seconds)
+        want_tracks, want_test = split_train_test(want, train_seconds)
+        assert got_test.missing_in_training == want_test.missing_in_training
+        assert [t.label for t in got_tracks] == [t.label for t in want_tracks]
+        missing += bool(got_test.missing_in_training)
+        # the face drawn last in the stream: a background face past the end,
+        # or the last participant gone, whose draw lands past the last row
+        last = got.frames[-1][1]
+        sigmas = (spec.noise_sigma > 0, spec.motion_sigma > 0)
+        if last[-1].gt_label is None:
+            ends.add(("background",) + sigmas)
+        elif spec.labels[-1] not in got.presence[spec.n_frames - 1]:
+            ends.add(("absent",) + sigmas)
+    assert ends == {(end, noise, motion) for end in ("background", "absent")
+                    for noise in (False, True) for motion in (False, True)}
+    assert clamped > 0 and missing > 0
 
 
 # ---------------------------------------------------------------------------

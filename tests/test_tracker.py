@@ -749,7 +749,7 @@ def reference_run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area
     for i, (frame_index, detections) in enumerate(frames):
         _advance(state, frame_index)
         kept = _kept(detections, frame_area, cfg.recognizer)
-        labels, distances = _classify_batch(state, gallery, kept, cfg)
+        labels, distances = _classify_batch(state, gallery, kept, cfg) if kept else ([], [])
         entries = _resolve_frame([
             FrameEntry(label, d.box, distance, SOURCE_CLASSIFIED)
             for d, label, distance in zip(kept, labels, distances)
@@ -911,7 +911,8 @@ def reference_step(state, frame_index, detections, gallery, cfg, frame_area, win
     # 3. classify everything the reuse pass did not claim; the closest
     # detection speaks for its label when it comes to state updates
     rest = [di for di, slot in enumerate(entry_slots) if slot is None]
-    labels, distances = _classify_batch(state, gallery, [kept[di] for di in rest], cfg)
+    labels, distances = (_classify_batch(state, gallery, [kept[di] for di in rest], cfg)
+                          if rest else ([], []))
     claims = {}  # label -> (distance, detection idx) of its closest claim
     for di, label, distance in zip(rest, labels, distances):
         entry_slots[di] = FrameEntry(label, kept[di].box, distance, SOURCE_CLASSIFIED)

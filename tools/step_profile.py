@@ -29,15 +29,21 @@ branch of a change:
     python tools/step_profile.py --scenario tests/data/demo_scenario.cfg --against ../base/src
 
 The other checkout's ``prototrack`` is imported under the name
-``prototrack_against`` (every import inside the package is relative) and
-indexes the same gallery. Both trackers run the same frames ``--passes``
-times, interleaved frame by frame: the two initial windows, then each
-frame's two `step()` calls, the two sides taking turns to go first from
-one pass to the next. The table gives each side's initial window, its
-steps and their total, each the sum of the fastest time of each call over
-the passes, and the last line the ratio of the other side's total to this
-side's (above 1 when this checkout is faster). The exit status is 1 when
-the two trackers' results or classify counts differ in any pass.
+``prototrack_against`` (every import inside the package is relative).
+First each side's `synth.generate` builds the scenario ``--passes`` times,
+the two sides taking turns to go first; the report gives each side's
+fastest time and the ratio of the other side's to this side's (above 1
+when this checkout is faster), and whether the two streams are the same:
+frames, labels and presence equal, and every box and embedding float equal
+by its bits. The trackers then run on this side's stream, and the other
+side indexes the same gallery. Both trackers run the same frames
+``--passes`` times, interleaved frame by frame: the two initial windows,
+then each frame's two `step()` calls, the two sides taking turns to go
+first from one pass to the next. The table gives each side's initial
+window, its steps and their total, each the sum of the fastest time of
+each call over the passes, and the last line the ratio of the other side's
+total to this side's. The exit status is 1 when the two streams differ, or
+when the two trackers' results or classify counts differ in any pass.
 
 OpenBLAS, OpenMP and MKL run on one thread unless the environment already
 says otherwise.
@@ -209,24 +215,79 @@ def interleaved_passes(frames, sides, passes):
     return fastest, same
 
 
-def against(args, frames, gallery, cfg, frame_area):
-    """The --against report; 0 when both trackers give the same results."""
+def box_bits(box):
+    return struct.pack("<4d", box.x, box.y, box.w, box.h)
+
+
+def same_stream(a, b):
+    """Whether two generated streams hold the same frames, labels and
+    presence, and every box and embedding float with the same bits."""
+    if a.presence != b.presence or len(a.frames) != len(b.frames):
+        return False
+    for (fa, da), (fb, db) in zip(a.frames, b.frames):
+        if fa != fb or len(da) != len(db):
+            return False
+        for x, y in zip(da, db):
+            if (x.frame, x.gt_label, box_bits(x.box), x.embedding.tobytes()) != \
+                    (y.frame, y.gt_label, box_bits(y.box), y.embedding.tobytes()):
+                return False
+    return True
+
+
+def interleaved_generate(sides, passes):
+    """Generate each side's scenario `passes` times, the sides taking turns
+    to go first from pass to pass.
+
+    sides holds one (synth module, ScenarioSpec) per side. Returns
+    (fastest, streams): per side, the fastest generate() over the passes,
+    and the stream of the last pass.
+    """
+    fastest = [math.inf] * len(sides)
+    for p in range(passes):
+        order = (0, 1) if p % 2 == 0 else (1, 0)
+        streams = [None] * len(sides)  # freed before the pass, outside the timing
+        gc.collect()
+        for s in order:
+            module, spec = sides[s]
+            t0 = perf_counter()
+            streams[s] = module.generate(spec)
+            fastest[s] = min(fastest[s], perf_counter() - t0)
+    return fastest, streams
+
+
+def against(args, spec):
+    """The --against report; 0 when both sides generate the same stream and
+    their trackers give the same results on it."""
     other = load_package(args.against)
+    other_synth = importlib.import_module(f"{other.__name__}.synth")
     other_tracker = importlib.import_module(f"{other.__name__}.tracker")
+    print(f"scenario: {args.scenario}")
+    print(f"against: {args.against}; {args.passes} passes, generate taking turns "
+          f"and the trackers interleaved frame by frame, fastest of each call")
+    fastest, streams = interleaved_generate(
+        [(synth, spec), (other_synth, other_synth.load_scenario(args.scenario))], args.passes)
+    generated_same = same_stream(*streams)
+    print(f"{'side':<9}{'generate_ms':>12}")
+    for name, seconds in zip(("this", "against"), fastest):
+        print(f"{name:<9}{seconds * 1e3:>12.1f}")
+    print(f"ratio against/this {fastest[1] / fastest[0]:.3f}; streams "
+          + ("identical" if generated_same else "DIFFER"))
+    stream = streams[0]
+    del streams
+    frames, gallery, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
+    del stream
     other_index = importlib.import_module(f"{other.__name__}.recognizer").GalleryIndex(gallery)
     other_cfg = other_tracker.TrackerConfig(fps=cfg.fps)
     fastest, same = interleaved_passes(frames, [
         (tracker, GalleryIndex(gallery), cfg, frame_area),
         (other_tracker, other_index, other_cfg, frame_area)], args.passes)
-    print(f"against: {args.against}; {args.passes} passes interleaved frame by frame, "
-          f"fastest of each call")
     print(f"{'side':<9}{'window_us':>11}{'steps':>7}{'steps_us':>11}{'total_us':>11}")
     for name, calls in zip(("this", "against"), fastest):
         print(f"{name:<9}{calls[0] * 1e6:>11.1f}{len(calls) - 1:>7}"
               f"{sum(calls[1:]) * 1e6:>11.1f}{sum(calls) * 1e6:>11.1f}")
     print(f"ratio against/this {sum(fastest[1]) / sum(fastest[0]):.3f}; results "
           + ("identical" if same else "DIFFER"))
-    return 0 if same else 1
+    return 0 if generated_same and same else 1
 
 
 def main(argv=None):
@@ -240,14 +301,13 @@ def main(argv=None):
     if args.passes < 1:
         ap.error("--passes must be at least 1")
     spec = synth.load_scenario(args.scenario)
+    if args.against:
+        return against(args, spec)
     stream = synth.generate(spec)
     detections = sum(len(dets) for _, dets in stream.frames)
     generated_mb = peak_rss_mb()
     frames, gallery, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
     del stream  # the passes hold the test frames and the gallery only
-    if args.against:
-        print(f"scenario: {args.scenario}")
-        return against(args, frames, gallery, cfg, frame_area)
     index = GalleryIndex(gallery)
     passes = []
     for _ in range(args.passes):
