@@ -33,7 +33,6 @@ from .evaluate import (
     run_baseline,
     score,
     sweep,
-    with_speedup,
 )
 from .gallery import (
     METHOD_KMEANS,
@@ -47,11 +46,9 @@ from .gallery import (
     snap_to_medoids,
 )
 from .recognizer import (
-    Classification,
     GalleryIndex,
     RecognizerConfig,
     area_filter,
-    classify,
 )
 from .stream_io import (
     StreamHeader,
@@ -73,11 +70,9 @@ from .synth import (
     ScenarioSpec,
     generate,
     load_scenario,
-    parse_scenario,
     split_train_test,
 )
 from .tracker import (
-    TrackedFace,
     TrackerConfig,
     TrackerState,
     run,
@@ -92,8 +87,6 @@ from .types import (
     Detection,
     FrameEntry,
     FrameResult,
-    cosine_distance,
-    iou,
     l2_normalize,
 )
 
@@ -102,7 +95,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyReport",
     "BoundingBox",
-    "Classification",
     "Detection",
     "DimensionMismatch",
     "DuplicateLabel",
@@ -133,7 +125,6 @@ __all__ = [
     "StreamHeader",
     "SweepPoint",
     "TimingReport",
-    "TrackedFace",
     "TrackerConfig",
     "TrackerState",
     "TrainingTrack",
@@ -142,17 +133,13 @@ __all__ = [
     "area_filter",
     "build_gallery_kmeans",
     "build_gallery_sampling",
-    "classify",
-    "cosine_distance",
     "generate",
-    "iou",
     "iter_stream",
     "kmeans",
     "l2_normalize",
     "load_scenario",
     "measure_tracker",
     "pareto_front",
-    "parse_scenario",
     "read_gallery",
     "read_results",
     "read_stream",
@@ -165,7 +152,6 @@ __all__ = [
     "split_train_test",
     "step",
     "sweep",
-    "with_speedup",
     "write_gallery",
     "write_results",
     "write_stream",

@@ -11,7 +11,7 @@ median taken.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -48,7 +48,6 @@ class AccuracyReport:
 class TimingReport:
     seconds_per_frame: float
     frames: int
-    speedup_factor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,6 @@ def measure_tracker(frames, gallery, cfg: TrackerConfig, frame_area=None, reps=3
     index = _as_index(gallery)
     return _timed_passes(frames, reps,
                          lambda frames: run(frames, index, cfg, frame_area).results)
-
-
-def with_speedup(ours: TimingReport, baseline: TimingReport) -> TimingReport:
-    """Attach the baseline/ours speedup factor to a timing report."""
-    return replace(ours, speedup_factor=baseline.seconds_per_frame
-                   / ours.seconds_per_frame)
 
 
 def sweep(stream, tracks, k_values, seed, cfg: TrackerConfig, reps=3):

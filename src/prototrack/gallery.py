@@ -101,12 +101,6 @@ class Gallery:
     def labels(self) -> tuple:
         return tuple(sorted(self.entries))
 
-    @property
-    def dim(self) -> int | None:
-        for protos in self.entries.values():
-            return int(np.asarray(protos[0].vector).shape[0])
-        return None
-
     def size(self) -> int:
         return sum(len(p) for p in self.entries.values())
 

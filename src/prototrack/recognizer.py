@@ -56,14 +56,6 @@ class RecognizerConfig:
             raise ValueError("min_area and min_area_fraction are mutually exclusive")
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Outcome of matching one embedding: winning label and its distance."""
-
-    label: str
-    distance: float
-
-
 def area_filter(detection, frame_area, cfg: RecognizerConfig) -> bool:
     """True when the detection's box is large enough to keep.
 
@@ -144,16 +136,3 @@ class GalleryIndex:
             labels = [names[b] if d <= threshold else UNKNOWN
                       for b, d in zip(best.tolist(), distances.tolist())]
         return labels, distances
-
-
-def classify(embedding, gallery, cfg: RecognizerConfig) -> Classification:
-    """Match one embedding against every prototype of every participant.
-
-    The winning label is the one holding the globally smallest cosine
-    distance (ties -> lexicographically smallest label); if that distance
-    exceeds cfg.unknown_threshold the result is labeled Unknown but keeps
-    the measured distance. Accepts a Gallery or a prebuilt GalleryIndex.
-    """
-    index = gallery if isinstance(gallery, GalleryIndex) else GalleryIndex(gallery)
-    labels, distances = index.classify_batch(embedding, cfg)
-    return Classification(labels[0], float(distances[0]))

@@ -31,8 +31,10 @@ reader and one writer, which streams the document to the file once the
 readers' own rule has passed what it will write. write_stream and
 write_results check each chunk's frame order and float32 boxes (and
 keypoints, or the entries' labels, distances and sources) by their
-reader's rules before they spell them, and move a whole file into place or
-leave no file."""
+reader's rules before they spell them. Every writer writes under a
+temporary name and moves the whole file into place, so a write that fails
+leaves no file and keeps any file already at the path. The CSV reports
+quote a label that holds a comma, a quote or a line end."""
 
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -90,7 +93,7 @@ def _dump(obj) -> str:
 
 def _write_lines(path, lines) -> None:
     """Write each of `lines` followed by a newline, as UTF-8 with Unix line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -98,12 +101,16 @@ def _write_lines(path, lines) -> None:
 def _replacing(path):
     """A text file open under a temporary name in `path`'s directory, moved
     to `path` when the block ends and deleted if it raises: a refused write
-    leaves no file and keeps any file at `path`."""
-    path = os.fspath(path)
+    leaves no file and keeps any file at `path`. A symbolic link at `path`
+    is written through, and a file at `path` keeps its permission bits, as
+    opening it would."""
+    path = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -493,7 +500,7 @@ def _write_records(path, head, kind, vectors_key, records) -> None:
         dims = list(map(lambda checked: checked[3].shape[1], _records(kind, (
             {"label": label, "frames": frames, vectors_key: _float32_rows(vectors)}
             for label, _, frames, vectors in records), vectors_key)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(head(dims[0] if dims else None))
         for i, (label, fields, frames, vectors) in enumerate(records):
             fh.write('%s{"label":%s%s,"frames":%s,"%s":[' % (
@@ -680,11 +687,22 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
+def _csv_field(text) -> str:
+    """A label as one CSV field that csv.reader reads back as itself: quoted,
+    each quote doubled, when it holds a comma, a quote or a line end, and
+    as given otherwise. csv.writer with "\\n" line ends leaves a lone
+    carriage return unquoted (Python 3.11), and a reader splits the row
+    there."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_score_csv(report, path) -> None:
     """Per-person accuracy rows plus an unweighted Average row."""
     lines = ["label,present_frames_accuracy"]
     for label, acc in report.per_person.items():
-        lines.append(f"{label},{_fmt(acc)}")
+        lines.append(f"{_csv_field(label)},{_fmt(acc)}")
     lines.append(f"Average,{_fmt(report.average)}")
     _write_lines(path, lines)
 
@@ -712,7 +730,7 @@ def write_summary_csv(results, path) -> None:
         st = stats[label]
         total = sum(st.values())
         lines.append(
-            f"{label},{total},{st['classified']},{st['reused']},{st['occluded']}")
+            f"{_csv_field(label)},{total},{st['classified']},{st['reused']},{st['occluded']}")
     _write_lines(path, lines)
 
 

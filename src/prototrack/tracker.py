@@ -210,12 +210,12 @@ def _kept(detections, frame_area, cfg):
 def _overlap_candidates(kept, active, reuse_iou):
     """Every (-IoU, detection index, label) pair with IoU >= reuse_iou.
 
-    Equals the list that types.iou(detection box, last box) builds pair by
-    pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
-    box's edges (x, y, x + w, y + h) and area w * h computed once per frame,
-    in types.iou's arithmetic. When reuse_iou is above 0, a pair whose edges
-    show it disjoint is skipped before any arithmetic: each such test
-    implies iw <= 0 or ih <= 0 below.
+    Equals the list that the per-pair IoU reference in tests/test_tracker.py
+    builds pair by pair, disjoint pairs included as 0.0 when reuse_iou is 0,
+    but with each box's edges (x, y, x + w, y + h) and area w * h computed
+    once per frame, in that reference's arithmetic. When reuse_iou is above
+    0, a pair whose edges show it disjoint is skipped before any arithmetic:
+    each such test implies iw <= 0 or ih <= 0 below.
     """
     if not active:  # as in every initial-window frame: no edges to compute
         return []

@@ -1,4 +1,4 @@
-"""Core value types and the vector/geometry operations everything else shares.
+"""Core value types and the vector operations everything else shares.
 
 Embeddings are plain numpy arrays, kept at unit L2 norm and in float64 for
 all in-memory arithmetic; file formats narrow them to 32-bit storage and
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEmbedding
+from .errors import InvalidEmbedding
 
 # Reserved label for "no confident identity". Never a participant name,
 # never stored in a gallery, and allowed to repeat within one frame.
@@ -80,22 +80,6 @@ def l2_normalize_rows(m, out=None) -> np.ndarray:
     return np.divide(m, norms, out=out)
 
 
-def cosine_distance(a, b) -> float:
-    """1 - dot(a, b) for unit vectors; lies in [0, 2].
-
-    Both inputs are assumed unit-normalized, which makes this equivalent to
-    (and cheaper than) full cosine distance. Mismatched shapes raise
-    DimensionMismatch.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    d = 1.0 - float(np.dot(a, b))
-    # round-off on unit vectors can land a hair outside the metric's range
-    return min(2.0, max(0.0, d))
-
-
 def _frozen(cls):
     """Make `cls` refuse to set or delete any attribute with
     FrozenInstanceError. A frozen, slotted dataclass already does so for its
@@ -127,20 +111,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
-    ix = max(a.x, b.x)
-    iy = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = ix2 - ix
-    ih = iy2 - iy
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
 
 
 @_frozen

@@ -10,13 +10,11 @@ from prototrack import evaluate
 from prototrack.errors import DuplicateLabel, MisalignedStreams
 from prototrack.evaluate import (
     SweepPoint,
-    TimingReport,
     measure_tracker,
     pareto_front,
     run_baseline,
     score,
     sweep,
-    with_speedup,
 )
 from prototrack.gallery import TrainingTrack, build_gallery_kmeans
 from prototrack.recognizer import RecognizerConfig
@@ -197,7 +195,6 @@ def test_baseline_classifies_every_detection_every_frame():
     assert [len(r.entries) for r in results] == [2, 2, 2, 2, 1, 1, 1, 2, 2, 2]
     assert timing.frames == 10
     assert timing.seconds_per_frame > 0
-    assert timing.speedup_factor is None
 
 
 def test_baseline_emits_duplicate_labels_without_arbitration():
@@ -251,15 +248,6 @@ def test_baseline_results_identical_across_passes():
     r1, _ = run_baseline(frames, tracks_one_hot(), RecognizerConfig(), reps=1)
     r2, _ = run_baseline(frames, tracks_one_hot(), RecognizerConfig(), reps=3)
     assert as_tuples(r1) == as_tuples(r2)
-
-
-def test_with_speedup_ratio():
-    ours = TimingReport(seconds_per_frame=0.002, frames=100)
-    base = TimingReport(seconds_per_frame=0.01, frames=100)
-    combined = with_speedup(ours, base)
-    assert combined.speedup_factor == pytest.approx(5.0)
-    assert combined.seconds_per_frame == 0.002
-    assert ours.speedup_factor is None  # original untouched
 
 
 def test_timing_reps_must_be_positive():

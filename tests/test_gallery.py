@@ -102,7 +102,6 @@ def test_gallery_forbids_unknown_key_and_empty_entry():
         Gallery(entries={"alice": []})
     g = Gallery(entries={"bob": [proto], "alice": [proto]})
     assert g.labels == ("alice", "bob")
-    assert g.dim == 2
     assert g.size() == 2
 
 

@@ -8,13 +8,7 @@ import pytest
 from prototrack.errors import DimensionMismatch, EmptyGallery
 from prototrack.floattext import canonical_float
 from prototrack.gallery import Gallery, Prototype
-from prototrack.recognizer import (
-    Classification,
-    GalleryIndex,
-    RecognizerConfig,
-    area_filter,
-    classify,
-)
+from prototrack.recognizer import GalleryIndex, RecognizerConfig, area_filter
 from prototrack.types import UNKNOWN, BoundingBox, Detection, l2_normalize
 
 
@@ -129,27 +123,35 @@ def test_area_filter_fractional_needs_frame_area():
 # classify
 
 
+def classify(embedding, gallery, cfg):
+    """(label, distance) of one embedding: a batch of one through a
+    GalleryIndex of `gallery`, or through `gallery` when it is one."""
+    index = gallery if isinstance(gallery, GalleryIndex) else GalleryIndex(gallery)
+    labels, distances = index.classify_batch(embedding, cfg)
+    return labels[0], float(distances[0])
+
+
 def test_classify_exact_prototype_hit():
     e0 = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
     g = gallery_from({"alice": [e0], "bob": [e1]})
-    got = classify(e0, g, RecognizerConfig())
-    assert got.label == "alice"
-    assert got.distance == 0.0
+    label, distance = classify(e0, g, RecognizerConfig())
+    assert label == "alice"
+    assert distance == 0.0
 
 
 def test_classify_far_query_is_unknown_with_distance():
     g = gallery_from({"alice": [np.array([1.0, 0.0])]})
-    got = classify(np.array([-1.0, 0.0]), g, RecognizerConfig())
-    assert got.label == UNKNOWN
-    assert got.distance == 2.0
+    label, distance = classify(np.array([-1.0, 0.0]), g, RecognizerConfig())
+    assert label == UNKNOWN
+    assert distance == 2.0
 
 
 def test_classify_tie_takes_lexicographically_smallest():
     v = np.array([1.0, 0.0])
     g = gallery_from({"zoe": [v], "amy": [v]})
-    got = classify(v, g, RecognizerConfig())
-    assert got.label == "amy"
+    label, _ = classify(v, g, RecognizerConfig())
+    assert label == "amy"
 
 
 def test_classify_empty_gallery_raises():
@@ -168,11 +170,11 @@ def test_classify_matches_exhaustive_oracle():
     cfg = RecognizerConfig()
     for _ in range(100):
         entries, query = random_instance(rng)
-        got = classify(query, gallery_from(entries), cfg)
+        label, distance = classify(query, gallery_from(entries), cfg)
         want_label, want_distance = oracle_classify(
             query, entries, cfg.unknown_threshold)
-        assert got.label == want_label
-        assert abs(got.distance - want_distance) < 1e-12
+        assert label == want_label
+        assert abs(distance - want_distance) < 1e-12
 
 
 def test_classify_batch_matches_single_calls():
@@ -184,10 +186,10 @@ def test_classify_batch_matches_single_calls():
                         for _ in range(20)])
     labels, distances = index.classify_batch(queries, cfg)
     for q, label, distance in zip(queries, labels, distances):
-        single = classify(q, index, cfg)
+        single_label, single_distance = classify(q, index, cfg)
         # batched and one-at-a-time GEMMs may differ in the last ulp
-        assert label == single.label
-        assert abs(distance - single.distance) < 1e-12
+        assert label == single_label
+        assert abs(distance - single_distance) < 1e-12
 
 
 def test_classify_batch_returns_label_list_and_distance_array():
@@ -221,14 +223,15 @@ def test_classify_invariant_under_prototype_permutation():
     rng = np.random.default_rng(107)
     for _ in range(20):
         entries, query = random_instance(rng)
-        base = classify(query, gallery_from(entries), RecognizerConfig())
+        base_label, base_distance = classify(
+            query, gallery_from(entries), RecognizerConfig())
         shuffled = {
             label: [vectors[i] for i in rng.permutation(len(vectors))]
             for label, vectors in entries.items()
         }
-        again = classify(query, gallery_from(shuffled), RecognizerConfig())
-        assert again.label == base.label
-        assert abs(again.distance - base.distance) < 1e-12
+        label, distance = classify(query, gallery_from(shuffled), RecognizerConfig())
+        assert label == base_label
+        assert abs(distance - base_distance) < 1e-12
 
 
 def test_adding_prototype_never_hurts_best_distance():
@@ -236,13 +239,13 @@ def test_adding_prototype_never_hurts_best_distance():
     for _ in range(20):
         entries, query = random_instance(rng)
         label = sorted(entries)[0]
-        before = classify(query, gallery_from(entries), RecognizerConfig(
+        _, before = classify(query, gallery_from(entries), RecognizerConfig(
             unknown_threshold=2.0))
         entries[label] = entries[label] + [l2_normalize(rng.normal(
             size=len(query)))]
-        after = classify(query, gallery_from(entries), RecognizerConfig(
+        _, after = classify(query, gallery_from(entries), RecognizerConfig(
             unknown_threshold=2.0))
-        assert after.distance <= before.distance + 1e-12
+        assert after <= before + 1e-12
 
 
 def test_raising_threshold_never_flips_named_to_unknown():
@@ -250,16 +253,10 @@ def test_raising_threshold_never_flips_named_to_unknown():
     for _ in range(20):
         entries, query = random_instance(rng)
         g = gallery_from(entries)
-        low = classify(query, g, RecognizerConfig(unknown_threshold=0.4))
-        high = classify(query, g, RecognizerConfig(unknown_threshold=0.9))
-        if low.label != UNKNOWN:
-            assert high.label == low.label
-
-
-def test_classification_is_plain_value():
-    c = Classification("alice", 0.25)
-    assert c.label == "alice"
-    assert c.distance == 0.25
+        low, _ = classify(query, g, RecognizerConfig(unknown_threshold=0.4))
+        high, _ = classify(query, g, RecognizerConfig(unknown_threshold=0.9))
+        if low != UNKNOWN:
+            assert high == low
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the on-disk formats: streams, galleries, tracks, truth,
 results, and the CSV report writers."""
 
+import csv
 import gc
 import json
 import math
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from prototrack import stream_io
 from prototrack.errors import (
     EmptyGallery,
     OutOfOrderFrame,
@@ -823,7 +825,7 @@ def test_gallery_round_trip(tmp_path):
     back = read_gallery(path)
     assert back.labels == ("alice", "bob")
     assert back.method == "kmeans" and back.k == 2 and back.seed == 7
-    assert back.dim == DIM
+    assert {len(p.vector) for protos in back.entries.values() for p in protos} == {DIM}
     for label in g.labels:
         for p, q in zip(g.entries[label], back.entries[label]):
             assert p.source_frame == q.source_frame
@@ -1319,6 +1321,42 @@ def test_writers_refuse_vectors_before_opening_the_file(tmp_path, vectors, messa
         assert not absent.exists()
 
 
+@pytest.mark.parametrize("kind", ["gallery", "tracks"])
+def test_writer_failing_mid_file_keeps_the_earlier_file(tmp_path, monkeypatch, kind):
+    """A write that fails after its first 64 vectors are spelled leaves the
+    file that was at the path, byte for byte, and no temporary file."""
+    rows = [unit(i % DIM) for i in range(65)]
+    gallery, tracks = written_objects({"alice": rows})
+    write, obj = {"gallery": (write_gallery, gallery), "tracks": (write_tracks, tracks)}[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text("an earlier file")
+    calls = []
+
+    def failing(vectors):
+        calls.append(len(vectors))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return float_arrays(vectors)
+
+    monkeypatch.setattr(stream_io, "float_arrays", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write(obj, path)
+    assert calls == [64, 1]
+    assert path.read_text() == "an earlier file"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_writers_write_through_a_symbolic_link_and_keep_the_mode(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("an earlier file")
+    target.chmod(0o600)
+    link.symlink_to(target.name)
+    write_score_csv(AccuracyReport({"bob": 1.0}, 1.0, 0.0, 0.0), link)
+    assert link.is_symlink()
+    assert target.read_text() == "label,present_frames_accuracy\nbob,1\nAverage,1\n"
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
 def test_writers_write_only_vectors_their_readers_read_back(tmp_path):
     """A seeded sweep of widths and values: write_gallery and write_tracks
     either write a file that their readers read back, or refuse, with the
@@ -1345,7 +1383,7 @@ def test_writers_write_only_vectors_their_readers_read_back(tmp_path):
         for kind, write, read, obj, doc in (
                 ("gallery", write_gallery, read_gallery, gallery, {
                     "version": 1, "method": "kmeans", "k": None, "seed": None,
-                    "embedding_dim": gallery.dim,
+                    "embedding_dim": len(next(iter(vectors.values()))[0]),
                     "entries": [{"label": label, "frames": frames[label], "prototypes": vs}
                                 for label, vs in narrowed.items()]}),
                 ("tracks", write_tracks, read_tracks, tracks, {
@@ -1731,6 +1769,30 @@ def test_score_csv_exact_bytes(tmp_path):
         "alice,1\n"
         "bob,0.875\n"
         "Average,0.9375\n")
+
+
+# a comma, a quote, a line feed and a lone carriage return, then a plain label
+AWKWARD_LABELS = ("smith, j", 'a"b\nc', "c\rd", "plain")
+
+
+@pytest.mark.parametrize("kind", ["score", "summary"])
+def test_csv_reports_read_back_labels_with_commas_quotes_and_line_ends(tmp_path, kind):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "score":
+        write_score_csv(AccuracyReport(
+            per_person={label: 0.5 for label in AWKWARD_LABELS}, average=0.5,
+            unknown_rate=0.0, false_label_rate=0.0), path)
+        want = [["label", "present_frames_accuracy"]]
+        want += [[label, "0.5"] for label in AWKWARD_LABELS] + [["Average", "0.5"]]
+    else:
+        write_summary_csv([FrameResult(0, tuple(
+            FrameEntry(label, BOX, 0.125, SOURCE_CLASSIFIED) for label in AWKWARD_LABELS))],
+            path)
+        want = [["label", "frames", "classified", "reused", "occluded"]]
+        want += [[label, "1", "1", "0", "0"] for label in sorted(AWKWARD_LABELS)]
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == want
+    assert b"\nplain," in path.read_bytes()  # a plain label is not quoted
 
 
 def test_score_json_fields(tmp_path):

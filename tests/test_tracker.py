@@ -44,7 +44,6 @@ from prototrack.types import (
     Detection,
     FrameEntry,
     FrameResult,
-    iou,
 )
 
 DIM = 8
@@ -513,7 +512,52 @@ def test_reuse_equivalence_and_saved_work():
 
 
 # ---------------------------------------------------------------------------
-# overlap association against the per-pair types.iou reference
+# overlap association against the per-pair iou reference
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
+    ix = max(a.x, b.x)
+    iy = max(a.y, b.y)
+    ix2 = min(a.x + a.w, b.x + b.w)
+    iy2 = min(a.y + a.h, b.y + b.h)
+    iw = ix2 - ix
+    ih = iy2 - iy
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+def test_iou_identical_boxes():
+    box = BoundingBox(5, 5, 10, 20)
+    assert iou(box, box) == 1.0
+
+
+def test_iou_disjoint_boxes():
+    assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(100, 100, 10, 10)) == 0.0
+
+
+def test_iou_half_overlap_hand_computed():
+    # intersection 1x2 = 2, union 4 + 4 - 2 = 6
+    a = BoundingBox(0, 0, 2, 2)
+    b = BoundingBox(1, 0, 2, 2)
+    assert abs(iou(a, b) - 2.0 / 6.0) < 1e-12
+
+
+def test_iou_symmetric():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        a = BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
+        b = BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
+        assert iou(a, b) == iou(b, a)
+        assert 0.0 <= iou(a, b) <= 1.0
+
+
+def test_iou_one_only_for_identical():
+    a = BoundingBox(0, 0, 10, 10)
+    b = BoundingBox(0, 0, 10, 10.001)
+    assert iou(a, b) < 1.0
 
 
 def random_boxes(rng, n, pool=()):
@@ -551,7 +595,7 @@ def random_boxes(rng, n, pool=()):
 
 
 def reference_association(det_boxes, active, reuse_iou):
-    """Candidates and greedy matches built with one types.iou call a pair."""
+    """Candidates and greedy matches built with one iou call a pair."""
     candidates = []
     for di, box in enumerate(det_boxes):
         for label, face in active.items():
@@ -596,14 +640,14 @@ def test_overlap_association_matches_per_pair_iou(reuse_iou):
 # The overlap pass as tracker.py held it before its one-loop form, kept
 # verbatim: the former step at the end of this file calls it too.
 def _edges(boxes):
-    """(x, y, x + w, y + h, w * h) per box, in types.iou's arithmetic."""
+    """(x, y, x + w, y + h, w * h) per box, in iou's arithmetic."""
     return [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in boxes]
 
 
 def reference_overlap_candidates(kept, active, reuse_iou):
     """Every (-IoU, detection index, label) pair with IoU >= reuse_iou.
 
-    Equals the list that types.iou(detection box, last box) builds pair by
+    Equals the list that iou(detection box, last box) builds pair by
     pair, disjoint pairs included as 0.0 when reuse_iou is 0, but with each
     box's edges and area computed once per frame. When reuse_iou is above 0,
     a pair whose edges show it disjoint is skipped before any arithmetic:

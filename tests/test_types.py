@@ -1,4 +1,4 @@
-"""Core vector/geometry operations and value-type invariants."""
+"""Core vector operations and value-type invariants."""
 
 import copy
 import gc
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prototrack import synth
-from prototrack.errors import DimensionMismatch, InvalidEmbedding
+from prototrack.errors import InvalidEmbedding
 from prototrack.types import (
     SOURCE_CLASSIFIED,
     SOURCE_OCCLUDED,
@@ -19,9 +19,7 @@ from prototrack.types import (
     Detection,
     FrameEntry,
     FrameResult,
-    cosine_distance,
     duplicate_named_labels,
-    iou,
     l2_normalize,
     l2_normalize_rows,
 )
@@ -114,35 +112,6 @@ def test_l2_normalize_rows_rejects_overflowing_norm():
         l2_normalize(m[0])
 
 
-def test_cosine_distance_identity():
-    a = l2_normalize([0.2, -0.3, 0.9])
-    assert cosine_distance(a, a) < 1e-12
-
-
-def test_cosine_distance_orthogonal():
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-
-def test_cosine_distance_antipodal():
-    assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
-
-
-def test_cosine_distance_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_cosine_distance_symmetric_and_bounded():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        a = l2_normalize(rng.normal(size=8))
-        b = l2_normalize(rng.normal(size=8))
-        d_ab = cosine_distance(a, b)
-        d_ba = cosine_distance(b, a)
-        assert d_ab == d_ba
-        assert 0.0 <= d_ab <= 2.0
-
-
 def test_bounding_box_requires_positive_size():
     with pytest.raises(ValueError):
         BoundingBox(0, 0, 0, 5)
@@ -152,37 +121,6 @@ def test_bounding_box_requires_positive_size():
 
 def test_bounding_box_area():
     assert BoundingBox(10, 20, 4, 5).area == 20
-
-
-def test_iou_identical_boxes():
-    box = BoundingBox(5, 5, 10, 20)
-    assert iou(box, box) == 1.0
-
-
-def test_iou_disjoint_boxes():
-    assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(100, 100, 10, 10)) == 0.0
-
-
-def test_iou_half_overlap_hand_computed():
-    # intersection 1x2 = 2, union 4 + 4 - 2 = 6
-    a = BoundingBox(0, 0, 2, 2)
-    b = BoundingBox(1, 0, 2, 2)
-    assert abs(iou(a, b) - 2.0 / 6.0) < 1e-12
-
-
-def test_iou_symmetric():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        a = BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
-        b = BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
-        assert iou(a, b) == iou(b, a)
-        assert 0.0 <= iou(a, b) <= 1.0
-
-
-def test_iou_one_only_for_identical():
-    a = BoundingBox(0, 0, 10, 10)
-    b = BoundingBox(0, 0, 10, 10.001)
-    assert iou(a, b) < 1.0
 
 
 def test_frame_entry_validates_source_and_distance():
