@@ -4,7 +4,7 @@ The pipeline sits downstream of any face detector/embedder: build a compact
 per-person prototype gallery from training tracks, classify detections by
 minimum cosine distance with Unknown rejection, and smooth per-frame labels
 through a temporal tracker that bridges occlusions and suppresses duplicate
-identities. A seeded synthetic benchmark and an accuracy/latency evaluation
+identities. A seeded synthetic benchmark and an accuracy/cost evaluation
 harness (including exhaustive-baseline comparison, gallery-size sweeps, and
 Pareto-front extraction) round out the toolkit.
 """
@@ -28,7 +28,6 @@ from .evaluate import (
     AccuracyReport,
     SweepPoint,
     TimingReport,
-    measure_tracker,
     pareto_front,
     run_baseline,
     score,
@@ -138,7 +137,6 @@ __all__ = [
     "kmeans",
     "l2_normalize",
     "load_scenario",
-    "measure_tracker",
     "pareto_front",
     "read_gallery",
     "read_results",

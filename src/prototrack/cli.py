@@ -132,7 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stream", required=True)
     p.add_argument("--tracks", required=True, help="training tracks (JSON)")
     p.add_argument("--out", required=True, help="frame results (JSONL)")
-    p.add_argument("--reps", type=int, default=3)
     p.add_argument("--unknown-threshold", type=float)
 
     p = sub.add_parser("score", help="score results against ground truth")
@@ -142,14 +141,13 @@ def build_parser() -> _Parser:
     p.add_argument("--json", dest="json_out", default=None,
                    help="full report as JSON")
 
-    p = sub.add_parser("sweep", help="accuracy/latency across gallery sizes")
+    p = sub.add_parser("sweep", help="accuracy/cost across gallery sizes")
     p.add_argument("--stream", required=True)
     p.add_argument("--tracks", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--k", type=_int_list, required=True,
                    help="comma-separated prototype counts, e.g. 1,2,4,8")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out", required=True, help="sweep CSV")
     p.add_argument("--pareto", default=None, help="optional Pareto-front CSV")
     p.add_argument("--unknown-threshold", type=float)
@@ -205,9 +203,11 @@ def _cmd_baseline(args) -> int:
     _, frames = read_stream(args.stream)
     tracks = read_tracks(args.tracks)
     cfg = _config(RecognizerConfig, args)
-    results, timing = run_baseline(frames, tracks, cfg, reps=args.reps)
+    results, timing = run_baseline(frames, tracks, cfg, reps=1)
     write_results(results, args.out)
-    print(f"baseline over {timing.frames} frames: "
+    dot_products = (sum(len(r.entries) for r in results)
+                    * sum(len(t.samples) for t in tracks))
+    print(f"baseline over {timing.frames} frames: {dot_products} dot products, "
           f"{timing.seconds_per_frame:.6f} s/frame")
     return 0
 
@@ -235,14 +235,13 @@ def _cmd_sweep(args) -> int:
     truth.frames = frames
     cfg = _config(TrackerConfig, args, fps=truth.fps,
                   recognizer=_config(RecognizerConfig, args))
-    points = sweep(truth, tracks, args.k, seed=args.seed, cfg=cfg,
-                   reps=args.reps)
+    points = sweep(truth, tracks, args.k, seed=args.seed, cfg=cfg)
     write_sweep_csv(points, args.out)
     if args.pareto:
         write_sweep_csv(pareto_front(points), args.pareto)
     for p in points:
         print(f"k={p.k}: accuracy={p.accuracy:.4f} "
-              f"spf={p.seconds_per_frame:.6f}")
+              f"dot_products={p.dot_products}")
     return 0
 
 

@@ -1,11 +1,13 @@
-"""Accuracy scoring, the per-frame exhaustive baseline, timing, and sweeps.
+"""Accuracy scoring, the per-frame exhaustive baseline, and gallery sweeps.
 
 Accuracy is measured per person: of the frames where a person is truly in
 the scene, the fraction where the system asserted their label (an occlusion
 placeholder with the right label counts — bridging a hidden face correctly
-is the point). Timing is wall-clock per frame over a pre-loaded stream, so
-parsing cost never leaks into the measurement; passes are repeated and the
-median taken.
+is the point). Speed is counted, not timed: a sweep point's cost is the
+query-prototype dot products its run computed, so equal inputs give equal
+points. The wall clock survives only in run_baseline, which times passes
+over a pre-loaded stream, so parsing cost never leaks into the measurement,
+and takes the median.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import MisalignedStreams
 from .gallery import Gallery, _checked_tracks, _prototypes, build_gallery_kmeans
 from .recognizer import GalleryIndex, RecognizerConfig
-from .tracker import TrackerConfig, _as_index, run
+from .tracker import TrackerConfig, run
 from .types import (
     SOURCE_CLASSIFIED,
     UNKNOWN,
@@ -54,7 +56,7 @@ class TimingReport:
 class SweepPoint:
     k: int
     accuracy: float
-    seconds_per_frame: float
+    dot_products: int
 
 
 def score(results, truth) -> AccuracyReport:
@@ -130,25 +132,6 @@ def _baseline_pass(frames, index, cfg: RecognizerConfig):
     return results
 
 
-def _timed_passes(frames, reps, one_pass):
-    """Run one_pass(frames) `reps` times over the listed frames.
-
-    Returns (the first pass's results, TimingReport of the median seconds
-    per frame over the passes).
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be positive: {reps}")
-    frames = list(frames)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        results = one_pass(frames)
-        times.append((time.perf_counter() - t0) / max(1, len(frames)))
-        if len(times) == 1:
-            first = results
-    return first, TimingReport(median(times), len(frames))
-
-
 def run_baseline(frames, tracks, cfg: RecognizerConfig, reps=3):
     """Classify every detection against all training embeddings, per frame.
 
@@ -157,48 +140,49 @@ def run_baseline(frames, tracks, cfg: RecognizerConfig, reps=3):
     pass are identical by construction; the first is returned).
     """
     index = _index_from_tracks(tracks)
-    return _timed_passes(frames, reps,
-                         lambda frames: _baseline_pass(frames, index, cfg))
+    if reps < 1:
+        raise ValueError(f"reps must be positive: {reps}")
+    frames = list(frames)
+    times = []
+    for rep in range(reps):
+        t0 = time.perf_counter()
+        results = _baseline_pass(frames, index, cfg)
+        times.append((time.perf_counter() - t0) / max(1, len(frames)))
+        if rep == 0:
+            first = results
+    return first, TimingReport(median(times), len(frames))
 
 
-def measure_tracker(frames, gallery, cfg: TrackerConfig, frame_area=None, reps=3):
-    """Run the tracker `reps` times and report median seconds per frame."""
-    index = _as_index(gallery)
-    return _timed_passes(frames, reps,
-                         lambda frames: run(frames, index, cfg, frame_area).results)
+def sweep(stream, tracks, k_values, seed, cfg: TrackerConfig):
+    """Accuracy/cost trade-off across prototype budgets.
 
-
-def sweep(stream, tracks, k_values, seed, cfg: TrackerConfig, reps=3):
-    """Accuracy/latency trade-off across prototype budgets.
-
-    For each k: build a k-medoid gallery, run the tracker over the stream,
-    and record average accuracy plus median seconds per frame. One
-    SweepPoint per requested k, in the given order.
+    For each k: build and index a k-medoid gallery, run the tracker once
+    over the stream, and record average accuracy plus the dot products the
+    run computed (embeddings classified × prototypes). One SweepPoint per
+    requested k, in the given order.
     """
     points = []
     for k in k_values:
-        gallery = build_gallery_kmeans(tracks, k, seed)
-        results, timing = measure_tracker(
-            stream.frames, gallery, cfg, stream.frame_area, reps=reps)
-        report = score(results, stream)
-        points.append(SweepPoint(int(k), report.average,
-                                 timing.seconds_per_frame))
+        index = GalleryIndex(build_gallery_kmeans(tracks, k, seed))
+        state = run(stream.frames, index, cfg, stream.frame_area)
+        points.append(SweepPoint(int(k), score(state.results, stream).average,
+                                 state.classify_calls * index.columns.shape[1]))
     return points
 
 
 def pareto_front(points):
-    """Non-dominated subset for (maximize accuracy, minimize time).
+    """Non-dominated subset for (maximize accuracy, minimize dot products).
 
-    The points are stably sorted by (seconds_per_frame, -accuracy), and one
-    sweep keeps each point that is more accurate than every point before it.
-    So a point survives iff no other point is at least as accurate and at
-    most as slow with one of the two strict; of exact duplicates the first
-    occurrence survives; the front is sorted by seconds_per_frame ascending.
+    The points are stably sorted by (dot_products, -accuracy), and one sweep
+    keeps each point that is more accurate than every point before it. So a
+    point survives iff no other point is at least as accurate and at most
+    as costly with one of the two strict; of exact duplicates the first
+    occurrence survives; the front is sorted by dot_products ascending.
     Every field must be finite, as sweep's points are: with a NaN field the
     sort order, and so the front, is undefined.
     """
     front = []
-    for p in sorted(points, key=lambda p: (p.seconds_per_frame, -p.accuracy)):
+    for p in sorted(points, key=lambda p: (p.dot_products, -p.accuracy)):
         if not front or p.accuracy > front[-1].accuracy:
             front.append(p)
     return front

@@ -266,9 +266,10 @@ def build_gallery_kmeans(tracks, k, seed, k_is_total=False):
     each centroid to its nearest real sample.
 
     k is the per-participant prototype budget. With k_is_total=True it is
-    instead split evenly across participants (floor division, minimum one
-    each) so sweeps can compare global budgets. Re-running with the same
-    inputs and seed reproduces the gallery bit for bit.
+    instead a global budget split evenly across participants (floor
+    division, minimum one each); `gallery --k-total` is its caller.
+    Re-running with the same inputs and seed reproduces the gallery bit
+    for bit.
     """
     tracks = _checked_tracks(tracks)
     if k < 1:

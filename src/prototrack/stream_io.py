@@ -699,7 +699,12 @@ def _csv_field(text) -> str:
 
 
 def write_score_csv(report, path) -> None:
-    """Per-person accuracy rows plus an unweighted Average row."""
+    """Per-person accuracy rows plus an unweighted Average row. A participant
+    labelled Average would give two rows a reader cannot tell apart, so such
+    a report is refused with ValueError before any byte is written."""
+    if "Average" in report.per_person:
+        raise ValueError("participant label 'Average' is the name of "
+                         "score.csv's average row")
     lines = ["label,present_frames_accuracy"]
     for label, acc in report.per_person.items():
         lines.append(f"{_csv_field(label)},{_fmt(acc)}")
@@ -735,7 +740,7 @@ def write_summary_csv(results, path) -> None:
 
 
 def write_sweep_csv(points, path) -> None:
-    lines = ["k,accuracy,seconds_per_frame"]
+    lines = ["k,accuracy,dot_products"]
     for p in points:
-        lines.append(f"{p.k},{_fmt(p.accuracy)},{_fmt(p.seconds_per_frame)}")
+        lines.append(f"{p.k},{_fmt(p.accuracy)},{p.dot_products:d}")
     _write_lines(path, lines)

@@ -87,12 +87,6 @@ def test_bad_option_value_exits_1(demo, tmp_path, capsys):
     assert code == 1
     assert "prototrack track:" in capsys.readouterr().err
 
-    code = run_cli("baseline", "--stream", demo / "stream.jsonl",
-                   "--tracks", demo / "tracks.json",
-                   "--out", tmp_path / "b.jsonl", "--reps", "0")
-    assert code == 1
-    assert "reps must be positive" in capsys.readouterr().err
-
 
 @pytest.mark.parametrize("flags", [
     ("--min-area", "nan"),
@@ -589,14 +583,17 @@ def test_gallery_sampling_tiny_fps_exits_0_quickly(demo, tmp_path):
         {t.label: len(t.samples) for t in stream_io.read_tracks(tracks)}
 
 
-def test_baseline_command(demo, tmp_path):
+def test_baseline_command(demo, tmp_path, capsys):
     out = tmp_path / "baseline.jsonl"
     assert run_cli("baseline", "--stream", demo / "stream.jsonl",
-                   "--tracks", demo / "tracks.json",
-                   "--out", out, "--reps", "1") == 0
+                   "--tracks", demo / "tracks.json", "--out", out) == 0
     results = read_results(out)
     assert len(results) == 40
     assert all(e.source == "classified" for r in results for e in r.entries)
+    detections = sum(len(r.entries) for r in results)
+    samples = sum(len(t.samples) for t in stream_io.read_tracks(demo / "tracks.json"))
+    assert capsys.readouterr().out.startswith(
+        f"baseline over 40 frames: {detections * samples} dot products, ")
 
 
 def test_sweep_command_rows_and_pareto(demo, tmp_path, capsys):
@@ -605,17 +602,18 @@ def test_sweep_command_rows_and_pareto(demo, tmp_path, capsys):
     assert run_cli("sweep", "--stream", demo / "stream.jsonl",
                    "--tracks", demo / "tracks.json",
                    "--truth", demo / "truth.json",
-                   "--k", "1,2,4", "--seed", "3", "--reps", "1",
+                   "--k", "1,2,4", "--seed", "3",
                    "--out", sweep_csv, "--pareto", front_csv) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out.splitlines()
     rows = sweep_csv.read_text().splitlines()
-    assert rows[0] == "k,accuracy,seconds_per_frame"
+    assert rows[0] == "k,accuracy,dot_products"
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "4"]
-    sweep_keys = {tuple(r.split(",")[:2]) for r in rows[1:]}
+    assert [line.split("dot_products=")[1] for line in out] == \
+        [r.split(",")[2] for r in rows[1:]]
     front_rows = front_csv.read_text().splitlines()
     assert front_rows[0] == rows[0]
     assert front_rows[1:]  # never empty
-    assert all(tuple(r.split(",")[:2]) in sweep_keys for r in front_rows[1:])
+    assert all(r in rows[1:] for r in front_rows[1:])
 
 
 def test_track_streams_the_file_through_the_tracker(demo, tmp_path, monkeypatch):
@@ -696,19 +694,32 @@ def test_identical_runs_write_identical_bytes(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
-def test_sweep_rerun_identical_modulo_timing(tmp_path):
-    # wall-clock column varies; k and accuracy columns must not
+def test_sweep_rerun_byte_identical(tmp_path):
+    # every column is counted, none timed
     d = gen_demo(tmp_path)
-    versions = []
-    for name in ("s1.csv", "s2.csv"):
+    for name in ("s1", "s2"):
         assert run_cli("sweep", "--stream", d / "stream.jsonl",
                        "--tracks", d / "tracks.json",
                        "--truth", d / "truth.json",
-                       "--k", "1,4", "--seed", "3", "--reps", "1",
-                       "--out", d / name) == 0
-        rows = (d / name).read_text().splitlines()
-        versions.append([r.split(",")[:2] for r in rows])
-    assert versions[0] == versions[1]
+                       "--k", "1,4", "--seed", "3",
+                       "--out", d / f"{name}.csv", "--pareto", d / f"{name}_front.csv") == 0
+    assert (d / "s1.csv").read_bytes() == (d / "s2.csv").read_bytes()
+    assert (d / "s1_front.csv").read_bytes() == (d / "s2_front.csv").read_bytes()
+
+
+def test_score_refuses_a_participant_named_average(demo, tmp_path, capsys):
+    # score.csv's average row is labelled Average, so a participant of that
+    # name is a usage error and neither report is written
+    doc = json.loads((demo / "truth.json").read_text())
+    doc["presence"] = {f: ["Average" if l == "p01" else l for l in labels]
+                       for f, labels in doc["presence"].items()}
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(doc))
+    code = run_cli("score", "--results", demo / "results.jsonl", "--truth", truth,
+                   "--out", tmp_path / "score.csv", "--json", tmp_path / "score.json")
+    assert code == 1
+    assert "prototrack score:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["truth.json"]
 
 
 def test_score_json_agrees_with_csv(demo):

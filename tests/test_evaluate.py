@@ -1,7 +1,7 @@
-"""Tests for scoring, the exhaustive per-frame baseline, timing reports,
-sweeps, and Pareto-front extraction."""
+"""Tests for scoring, the exhaustive per-frame baseline and its timing
+report, counted sweeps, and Pareto-front extraction."""
 
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +10,21 @@ from prototrack import evaluate
 from prototrack.errors import DuplicateLabel, MisalignedStreams
 from prototrack.evaluate import (
     SweepPoint,
-    measure_tracker,
     pareto_front,
     run_baseline,
     score,
     sweep,
 )
-from prototrack.gallery import TrainingTrack, build_gallery_kmeans
-from prototrack.recognizer import RecognizerConfig
-from prototrack.synth import GroundTruthStream, ScenarioSpec, generate, split_train_test
+from prototrack.gallery import TrainingTrack
+from prototrack.recognizer import GalleryIndex, RecognizerConfig
+from prototrack.synth import (
+    GroundTruthStream,
+    ScenarioSpec,
+    default_train_seconds,
+    generate,
+    load_scenario,
+    split_train_test,
+)
 from prototrack.tracker import TrackerConfig
 from prototrack.types import (
     SOURCE_CLASSIFIED,
@@ -255,9 +261,6 @@ def test_timing_reps_must_be_positive():
     tracks = tracks_one_hot()
     with pytest.raises(ValueError, match="reps must be positive"):
         run_baseline(frames, tracks, RecognizerConfig(), reps=0)
-    gallery = build_gallery_kmeans(tracks, k=1, seed=0)
-    with pytest.raises(ValueError, match="reps must be positive"):
-        measure_tracker(frames, gallery, TrackerConfig(fps=30.0), reps=0)
 
 
 def test_timing_returns_the_first_pass_results(monkeypatch):
@@ -270,12 +273,6 @@ def test_timing_returns_the_first_pass_results(monkeypatch):
     monkeypatch.setattr(evaluate, "_baseline_pass", new_pass)
     results, timing = run_baseline([(0, [])], tracks_one_hot(), RecognizerConfig(), reps=3)
     assert len(passes) == 3 and results is passes[0] and timing.frames == 1
-    passes.clear()
-    monkeypatch.setattr(evaluate, "run", lambda *args: SimpleNamespace(results=new_pass()))
-    gallery = build_gallery_kmeans(tracks_one_hot(), k=1, seed=0)
-    results, timing = measure_tracker(iter([(0, []), (1, [])]), gallery,
-                                      TrackerConfig(fps=30.0), reps=3)
-    assert len(passes) == 3 and results is passes[0] and timing.frames == 2
 
 
 # ---------------------------------------------------------------- sweep
@@ -289,11 +286,39 @@ def test_sweep_one_point_per_k_in_given_order():
     full = generate(spec)
     tracks, test = split_train_test(full, train_seconds=4.0)
     points = sweep(test, tracks, [1, 2, 4], seed=3,
-                   cfg=TrackerConfig(fps=10.0), reps=1)
+                   cfg=TrackerConfig(fps=10.0))
     assert [p.k for p in points] == [1, 2, 4]
     for p in points:
         assert 0.0 <= p.accuracy <= 1.0
-        assert p.seconds_per_frame > 0
+        assert p.dot_products > 0
+
+
+def test_sweep_counts_the_dot_products_it_computed(monkeypatch):
+    # each point's cost is rows × prototypes summed over every classify
+    # call the run made with that k's gallery, and a second sweep of the
+    # same inputs gives equal points
+    spec = load_scenario(Path(__file__).parent / "data" / "demo_scenario.cfg")
+    tracks, test = split_train_test(generate(spec), default_train_seconds(spec))
+    work = []  # one sum per gallery built, in the order sweep builds them
+    real_build, real_classify = evaluate.build_gallery_kmeans, GalleryIndex.classify_batch
+
+    def counting_build(*args):
+        work.append(0)
+        return real_build(*args)
+
+    def counting_classify(self, embeddings, cfg):
+        work[-1] += len(embeddings) * self.columns.shape[1]
+        return real_classify(self, embeddings, cfg)
+
+    monkeypatch.setattr(evaluate, "build_gallery_kmeans", counting_build)
+    monkeypatch.setattr(GalleryIndex, "classify_batch", counting_classify)
+    k_values = [1, 2, 4, 8, 16, 32]
+    cfg = TrackerConfig(fps=test.fps)
+    points = sweep(test, tracks, k_values, seed=0, cfg=cfg)
+    assert [p.k for p in points] == k_values
+    assert [p.dot_products for p in points] == work
+    assert all(type(p.dot_products) is int and p.dot_products > 0 for p in points)
+    assert sweep(test, tracks, k_values, seed=0, cfg=cfg) == points
 
 
 # ---------------------------------------------------------------- pareto
@@ -301,14 +326,14 @@ def test_sweep_one_point_per_k_in_given_order():
 
 def dominates(q, p):
     return (q.accuracy >= p.accuracy
-            and q.seconds_per_frame <= p.seconds_per_frame
+            and q.dot_products <= p.dot_products
             and (q.accuracy > p.accuracy
-                 or q.seconds_per_frame < p.seconds_per_frame))
+                 or q.dot_products < p.dot_products))
 
 
 def check_front_invariants(points, front):
     """Implementation-independent definition of a valid Pareto front."""
-    front_keys = {(p.accuracy, p.seconds_per_frame) for p in front}
+    front_keys = {(p.accuracy, p.dot_products) for p in front}
     # members come from the input
     assert all(p in points for p in front)
     # mutually non-dominated, no duplicated value pairs
@@ -318,34 +343,34 @@ def check_front_invariants(points, front):
     # everything excluded is dominated by a front member or is a value
     # duplicate of one
     for p in points:
-        if (p.accuracy, p.seconds_per_frame) in front_keys:
+        if (p.accuracy, p.dot_products) in front_keys:
             continue
         assert any(dominates(q, p) for q in front)
-    # reported fastest-first
-    times = [p.seconds_per_frame for p in front]
-    assert times == sorted(times)
+    # reported cheapest-first
+    costs = [p.dot_products for p in front]
+    assert costs == sorted(costs)
 
 
 def test_pareto_single_point():
-    pts = [SweepPoint(4, 0.9, 0.002)]
+    pts = [SweepPoint(4, 0.9, 200)]
     assert pareto_front(pts) == pts
 
 
 def test_pareto_drops_dominated_point():
-    good = SweepPoint(8, 0.95, 0.001)
-    bad = SweepPoint(16, 0.90, 0.002)  # slower and less accurate
+    good = SweepPoint(8, 0.95, 100)
+    bad = SweepPoint(16, 0.90, 200)  # costlier and less accurate
     assert pareto_front([bad, good]) == [good]
 
 
 def test_pareto_keeps_incomparable_points():
-    fast = SweepPoint(2, 0.80, 0.001)
-    slow = SweepPoint(32, 0.95, 0.004)
-    assert pareto_front([slow, fast]) == [fast, slow]
+    cheap = SweepPoint(2, 0.80, 100)
+    costly = SweepPoint(32, 0.95, 400)
+    assert pareto_front([costly, cheap]) == [cheap, costly]
 
 
 def test_pareto_duplicate_values_keep_first_occurrence():
-    a = SweepPoint(2, 0.9, 0.002)
-    b = SweepPoint(4, 0.9, 0.002)
+    a = SweepPoint(2, 0.9, 200)
+    b = SweepPoint(4, 0.9, 200)
     front = pareto_front([a, b])
     assert front == [a]
 
@@ -358,7 +383,7 @@ def test_pareto_front_invariants_on_random_point_sets():
             SweepPoint(
                 int(rng.integers(1, 64)),
                 float(rng.integers(1, 11)) / 10.0,  # coarse grid forces ties
-                float(rng.integers(1, 11)) / 1000.0,
+                int(rng.integers(1, 11)),
             )
             for _ in range(n)
         ]
@@ -366,12 +391,12 @@ def test_pareto_front_invariants_on_random_point_sets():
 
 
 def pareto_front_reference(points):
-    """pareto_front before its sort-and-sweep form, verbatim: the reference
-    the current one must match item for item."""
+    """pareto_front before its sort-and-sweep form, verbatim but for the cost
+    field's name: the reference the current one must match item for item."""
     unique = []
     seen = set()
     for p in points:
-        key = (p.accuracy, p.seconds_per_frame)
+        key = (p.accuracy, p.dot_products)
         if key not in seen:
             seen.add(key)
             unique.append(p)
@@ -382,32 +407,32 @@ def pareto_front_reference(points):
             if q is p:
                 continue
             if (q.accuracy >= p.accuracy
-                    and q.seconds_per_frame <= p.seconds_per_frame
+                    and q.dot_products <= p.dot_products
                     and (q.accuracy > p.accuracy
-                         or q.seconds_per_frame < p.seconds_per_frame)):
+                         or q.dot_products < p.dot_products)):
                 dominated = True
                 break
         if not dominated:
             front.append(p)
-    return sorted(front, key=lambda p: (p.seconds_per_frame, p.accuracy, p.k))
+    return sorted(front, key=lambda p: (p.dot_products, p.accuracy, p.k))
 
 
 def test_pareto_front_matches_dominance_loop_reference():
-    a = SweepPoint(1, 0.8, 0.002)
-    dup = SweepPoint(2, 0.8, 0.002)  # an exact duplicate of a
-    more_accurate = SweepPoint(3, 0.9, 0.002)  # same time as a
-    faster = SweepPoint(4, 0.8, 0.001)  # same accuracy as a
+    a = SweepPoint(1, 0.8, 200)
+    dup = SweepPoint(2, 0.8, 200)  # an exact duplicate of a
+    more_accurate = SweepPoint(3, 0.9, 200)  # same cost as a
+    cheaper = SweepPoint(4, 0.8, 100)  # same accuracy as a
     sets = [[], [a], [a, dup], [dup, a], [a, more_accurate], [more_accurate, a],
-            [a, faster], [faster, a], [dup, faster, a, more_accurate],
-            [SweepPoint(5, 0.0, 0.001), SweepPoint(6, -0.0, 0.001)]]
+            [a, cheaper], [cheaper, a], [dup, cheaper, a, more_accurate],
+            [SweepPoint(5, 0.0, 100), SweepPoint(6, -0.0, 100)]]
     rng = np.random.default_rng(14)
     for _ in range(1200):
         n = int(rng.integers(0, 25))
         # coarse grids: exact duplicates and ties on either field are common
         accuracies = rng.integers(0, 6, n) / 5.0
-        times = rng.integers(1, 6, n) / 1000.0
-        sets.append([SweepPoint(i, float(acc), float(t))
-                     for i, (acc, t) in enumerate(zip(accuracies, times))])
+        costs = rng.integers(1, 6, n)
+        sets.append([SweepPoint(i, float(acc), int(c))
+                     for i, (acc, c) in enumerate(zip(accuracies, costs))])
     for points in sets:
         front, expected = pareto_front(points), pareto_front_reference(points)
         assert len(front) == len(expected)

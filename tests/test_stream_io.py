@@ -1771,6 +1771,21 @@ def test_score_csv_exact_bytes(tmp_path):
         "Average,0.9375\n")
 
 
+def test_score_csv_refuses_a_participant_named_average(tmp_path):
+    # the participant's row and the average row would both read Average,
+    # so the report is refused before a byte is written
+    report = AccuracyReport({"Average": 0.5, "bob": 1.0}, 0.75, 0.0, 0.0)
+    path = tmp_path / "score.csv"
+    with pytest.raises(ValueError, match="'Average'"):
+        write_score_csv(report, path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="'Average'"):
+        write_score_csv(report, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "kept\n"
+
+
 # a comma, a quote, a line feed and a lone carriage return, then a plain label
 AWKWARD_LABELS = ("smith, j", 'a"b\nc', "c\rd", "plain")
 
@@ -1819,8 +1834,8 @@ def test_summary_csv_counts_by_source(tmp_path):
 def test_sweep_csv_shape(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(
-        [SweepPoint(1, 0.5, 0.001), SweepPoint(16, 0.96875, 0.002)], path)
+        [SweepPoint(1, 0.5, 210), SweepPoint(16, 0.96875, 3360)], path)
     assert path.read_text() == (
-        "k,accuracy,seconds_per_frame\n"
-        "1,0.5,0.001\n"
-        "16,0.96875,0.002\n")
+        "k,accuracy,dot_products\n"
+        "1,0.5,210\n"
+        "16,0.96875,3360\n")
