@@ -37,7 +37,6 @@ from .gallery import (
     METHOD_KMEANS,
     METHOD_SAMPLING,
     Gallery,
-    Prototype,
     TrainingTrack,
     build_gallery_kmeans,
     build_gallery_sampling,
@@ -115,7 +114,6 @@ __all__ = [
     "OutOfOrderFrame",
     "ParseError",
     "PipelineError",
-    "Prototype",
     "RecognizerConfig",
     "SOURCE_CLASSIFIED",
     "SOURCE_OCCLUDED",

@@ -108,8 +108,10 @@ def score(results, truth) -> AccuracyReport:
 def _index_from_tracks(tracks) -> GalleryIndex:
     """Every training sample as a prototype, the tracks checked as the
     gallery builders check them: at least one, each label its own."""
-    return GalleryIndex(Gallery(entries={
-        t.label: _prototypes(t, range(len(t.samples))) for t in _checked_tracks(tracks)}))
+    entries, source_frames = {}, {}
+    for t in _checked_tracks(tracks):
+        entries[t.label], source_frames[t.label] = _prototypes(t, range(len(t.samples)))
+    return GalleryIndex(Gallery(entries, source_frames))
 
 
 def _baseline_pass(frames, index, cfg: RecognizerConfig):

@@ -12,12 +12,12 @@ import math
 import numbers
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateLabel, EmptyInput
-from .types import UNKNOWN, l2_normalize
+from .errors import DimensionMismatch, DuplicateLabel, EmptyGallery, EmptyInput
+from .types import UNKNOWN, l2_normalize_rows
 
 METHOD_KMEANS = "kmeans"
 METHOD_SAMPLING = "sampling"
@@ -66,36 +66,39 @@ class TrainingTrack:
 
 
 @dataclass(frozen=True, eq=False)
-class Prototype:
-    """A gallery embedding plus the training frame it came from."""
-
-    vector: np.ndarray
-    source_frame: int
-
-    def __post_init__(self):
-        if not _is_frame(self.source_frame):
-            raise ValueError(f"prototype frame must be an integer: {self.source_frame!r}")
-
-
-@dataclass(frozen=True, eq=False)
 class Gallery:
-    """Per-participant prototype lists, keyed by label.
+    """Per-participant prototypes: entries[label] is the label's (n, d)
+    float64 matrix of unit prototype rows, n >= 1, and source_frames[label]
+    the n integer training frames they came from. There is at least one
+    label, each a non-empty string other than Unknown, and one width d;
+    method is a METHOD_ constant, and k and seed are each an int or None."""
 
-    Every key is a non-empty string other than Unknown, and has at least one
-    prototype. An empty entries dict is representable (so writers can
-    refuse it explicitly) but most consumers reject it.
-    """
-
-    entries: dict = field(default_factory=dict)
+    entries: dict
+    source_frames: dict
     method: str = METHOD_KMEANS
     k: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
+        if not self.entries:
+            raise EmptyGallery("gallery has no prototypes")
+        if self.entries.keys() != self.source_frames.keys():
+            raise ValueError("gallery entries and source_frames hold different labels")
         for label, protos in self.entries.items():
             _check_label("entry", label)
-            if not protos:
-                raise ValueError(f"gallery entry {label!r} has no prototypes")
+            frames = self.source_frames[label]
+            if not (isinstance(protos, np.ndarray) and protos.ndim == 2 and len(protos)
+                    and len(frames) == len(protos) and all(map(_is_frame, frames))):
+                raise ValueError(f"gallery entry {label!r} needs an (n, d) matrix of "
+                                 "n >= 1 prototypes and n integer frames")
+        dims = sorted({protos.shape[1] for protos in self.entries.values()})
+        if len(dims) != 1:
+            raise DimensionMismatch(f"gallery mixes embedding dims: {dims}")
+        if self.method not in (METHOD_KMEANS, METHOD_SAMPLING):
+            raise ValueError(f"gallery method must be 'kmeans' or 'sampling': {self.method!r}")
+        for key, value in (("k", self.k), ("seed", self.seed)):
+            if not (value is None or type(value) is int):
+                raise ValueError(f"gallery {key} must be an integer or null: {value!r}")
 
     @property
     def labels(self) -> tuple:
@@ -256,9 +259,9 @@ def _checked_tracks(tracks):
 
 
 def _prototypes(track, indices):
-    """Prototypes of the track's samples at `indices`, in that order."""
-    return [Prototype(l2_normalize(track.samples[j][1]), int(track.samples[j][0]))
-            for j in indices]
+    """(float64 unit rows, int frames) of the track's samples at `indices`."""
+    rows = np.array([track.samples[j][1] for j in indices], dtype=np.float64)
+    return l2_normalize_rows(rows, out=rows), [int(track.samples[j][0]) for j in indices]
 
 
 def build_gallery_kmeans(tracks, k, seed, k_is_total=False):
@@ -275,12 +278,13 @@ def build_gallery_kmeans(tracks, k, seed, k_is_total=False):
     if k < 1:
         raise ValueError(f"k must be positive: {k}")
     per_k = max(1, k // len(tracks)) if k_is_total else k
-    entries = {}
+    entries, source_frames = {}, {}
     for i, track in enumerate(tracks):
         pts = track.matrix()
         centroids, _ = kmeans(pts, min(per_k, len(pts)), seed=[seed, i])
-        entries[track.label] = _prototypes(track, snap_to_medoids(centroids, pts))
-    return Gallery(entries=entries, method=METHOD_KMEANS, k=k, seed=seed)
+        entries[track.label], source_frames[track.label] = _prototypes(
+            track, snap_to_medoids(centroids, pts))
+    return Gallery(entries, source_frames, METHOD_KMEANS, k, seed)
 
 
 def build_gallery_sampling(tracks):
@@ -294,7 +298,7 @@ def build_gallery_sampling(tracks):
     so the work is bounded by the number of samples, whatever the fps.
     """
     tracks = _checked_tracks(tracks)
-    entries = {}
+    entries, source_frames = {}, {}
     for track in tracks:
         frames = [f for f, _ in track.samples]
         first, last, fps = frames[0], frames[-1], track.fps
@@ -316,5 +320,5 @@ def build_gallery_sampling(tracks):
             j = float(math.floor(guess * (1 - 2 ** -50)))
             while boundary(j) <= frames[i]:
                 j = max(j + 1, math.nextafter(j, math.inf))  # the next whole float
-        entries[track.label] = _prototypes(track, picked)
-    return Gallery(entries=entries, method=METHOD_SAMPLING, k=None, seed=None)
+        entries[track.label], source_frames[track.label] = _prototypes(track, picked)
+    return Gallery(entries, source_frames, METHOD_SAMPLING)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGallery
+from .errors import DimensionMismatch
 from .gallery import Gallery
 from .types import UNKNOWN
 
@@ -86,16 +86,14 @@ class GalleryIndex:
 
     def __init__(self, gallery: Gallery):
         entries = gallery.entries
-        if not entries:
-            raise EmptyGallery("gallery has no prototypes")
         self.labels = sorted(entries)
-        rows = [np.asarray(p.vector, dtype=np.float64)
-                for label in self.labels for p in entries[label]]
-        dims = {r.shape[0] for r in rows}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"gallery mixes embedding dims: {sorted(dims)}")
-        self.column_labels = [label for label in self.labels for _ in entries[label]]
-        self.columns = np.stack(rows, axis=1)
+        # C-ordered, filled label by label: q @ columns rounds by memory layout
+        self.columns = np.empty((entries[self.labels[0]].shape[1], gallery.size()))
+        self.column_labels = []
+        for label in self.labels:
+            start = len(self.column_labels)
+            self.column_labels += [label] * len(entries[label])
+            self.columns[:, start:len(self.column_labels)] = entries[label].T
         self.dim = self.columns.shape[0]
 
     def similarities(self, q):

@@ -28,13 +28,14 @@ call. Its exact integer kernel spells each number x with 1e-4 <= |x| < 1
 at 9 significant digits (nearly all of an embedding's), and a per-number
 %-format spells the others. Gallery and tracks files have one record
 reader and one writer, which streams the document to the file once the
-readers' own rule has passed what it will write. write_stream and
-write_results check each chunk's frame order and float32 boxes (and
-keypoints, or the entries' labels, distances and sources) by their
-reader's rules before they spell them. Every writer writes under a
-temporary name and moves the whole file into place, so a write that fails
-leaves no file and keeps any file already at the path. The CSV reports
-quote a label that holds a comma, a quote or a line end."""
+readers' own rule has passed what it will write, as write_truth does.
+write_stream and write_results check each chunk's frame order and float32
+boxes (and keypoints, embeddings and labels, or the entries' labels,
+distances and sources) by their reader's rules before they spell them.
+Every writer writes under a temporary name and moves the whole file into
+place, so a write that fails leaves no file and keeps any file already at
+the path. The CSV reports quote a label that holds a comma, a quote or a
+line end."""
 
 from __future__ import annotations
 
@@ -53,14 +54,13 @@ from operator import getitem
 import numpy as np
 
 from .errors import (
-    EmptyGallery,
     InvalidEmbedding,
     OutOfOrderFrame,
     ParseError,
     UnsupportedVersion,
 )
 from .floattext import canonical_float, float_arrays, float_text
-from .gallery import Gallery, Prototype, TrainingTrack
+from .gallery import Gallery, TrainingTrack
 from .synth import GroundTruthStream
 from .tracker import TrackerConfig
 from .types import (
@@ -281,11 +281,12 @@ def write_stream(path, header: StreamHeader, frames) -> None:
 
     What read_stream would refuse raises ValueError in its words, naming
     the frame: a frame index that is not an integer one more than the one
-    before, a box or keypoint that is not finite in float32, or a box width
-    or height that is not above 0 in float32. The stream is written under a
-    temporary name in the output's directory and moved into place at the
-    end, so a refused stream leaves no file and keeps any file at `path`."""
-    frames = _in_order(frames)
+    before; in float32, a box, keypoint or embedding that is not finite, a
+    box width or height not above 0, or an embedding of zeros or of another
+    width than the header's; a gt_label neither None nor a string. A refused
+    stream leaves no file and keeps any file at `path`: the stream is
+    written under a temporary name and moved into place at the end."""
+    frames, dim = _in_order(frames), header.embedding_dim
     with _replacing(path) as fh:
         fh.write(_dump({"version": STREAM_VERSION, **_header_fields(header)}) + "\n")
         # numbers are formatted 64 frames at a time, as in write_results
@@ -296,16 +297,27 @@ def write_stream(path, header: StreamHeader, frames) -> None:
             marks = (corners[:, None, :2] + _KEYPOINTS * corners[:, None, 2:]).reshape(-1, 2)
             with np.errstate(over="ignore"):  # past the float32 range: refused below
                 corners, marks = corners.astype(np.float32), marks.astype(np.float32)
+                vectors = _float32_rows([d.embedding for d in dets])
             points = marks.reshape(-1, 5, 2)
-            for di in np.flatnonzero(~(_boxes_ok(corners) & np.isfinite(points).all(axis=(1, 2)))):
+            ok = _boxes_ok(corners) & np.isfinite(points).all(axis=(1, 2))
+            if isinstance(vectors, list) or vectors.shape != (len(dets), dim):
+                ok &= np.array([np.shape(v) == (dim,) for v in vectors], bool)
+            else:  # float32 keeps a value zero or not, finite or not
+                ok &= np.isfinite(vectors).all(axis=1) & vectors.any(axis=1) & np.array(
+                    [d.gt_label is None or isinstance(d.gt_label, str) for d in dets], bool)
+            for di in np.flatnonzero(~ok):
+                rec = {"box": _spelled(corners[di]), "embedding": vectors[di].tolist()}
+                if dets[di].gt_label is not None:
+                    rec["gt_label"] = dets[di].gt_label
                 try:  # the reader's own checks, on the numbers the file would hold
-                    BoundingBox(*_numbers("box", _spelled(corners[di]), 4))
+                    BoundingBox(*_numbers("box", rec["box"], 4))
                     for point in points[di]:
                         _numbers("landmark point", _spelled(point), 2)
+                    _parse_detection(rec, None, dim, None)
                 except ValueError as exc:
                     raise _refused(chunk, di, exc) from None
             boxes, points = iter(float_arrays(corners)), iter(float_arrays(marks))
-            embeddings = iter(float_arrays([d.embedding for d in dets]))
+            embeddings = iter(float_arrays(vectors))
             for frame_index, detections in chunk:
                 records = []
                 for d in detections:
@@ -319,6 +331,7 @@ def write_stream(path, header: StreamHeader, frames) -> None:
 
 
 def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
+    """The Detection of a stream record, or ValueError in read_stream's words."""
     try:
         box = BoundingBox(*_numbers("box", rec["box"], 4))
         if "landmarks" in rec:  # checked, then dropped
@@ -328,15 +341,14 @@ def _parse_detection(rec, frame_index, dim, lineno) -> Detection:
         emb = _float_array("embedding", rec["embedding"])
         gt = _text("gt_label", rec["gt_label"]) if "gt_label" in rec else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad detection record: {exc}", lineno)
+        raise ValueError(f"bad detection record: {exc}") from None
     if emb.ndim != 1 or emb.shape[0] != dim:
-        raise ParseError(
-            f"embedding has dim {emb.shape}, header says {dim}", lineno)
+        raise ValueError(f"embedding has dim {emb.shape}, header says {dim}")
     norm = float(np.linalg.norm(emb))
     if not math.isfinite(norm):
-        raise ParseError("non-finite embedding", lineno)
+        raise ValueError("non-finite embedding")
     if norm == 0.0:
-        raise ParseError("zero embedding", lineno)
+        raise ValueError("zero embedding")
     if abs(norm - 1.0) > DRIFT_TOL:
         warnings.warn(
             f"line {lineno}: embedding norm drifted to {norm:.6f}; re-normalizing",
@@ -420,12 +432,13 @@ def _stream_records(path):
         yield header
         for lineno, frame_index, rec in _frame_records(fh, 2):
             try:
-                raw_dets = list(rec["detections"])
+                dets = [_parse_detection(r, frame_index, header.embedding_dim, lineno)
+                        for r in rec["detections"]]
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad frame record: {exc}", lineno)
-            yield frame_index, [
-                _parse_detection(r, frame_index, header.embedding_dim, lineno)
-                for r in raw_dets]
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            yield frame_index, dets
 
 
 def _unit_rows(key, frames, vectors, dim) -> np.ndarray:
@@ -477,9 +490,9 @@ def _records(kind, records, vectors_key, dim=None):
 
 
 def _float32_rows(vectors):
-    """A record's vectors as one float32 matrix, stacked once; vectors of
-    more than one shape as a list of float32 arrays, which _records refuses
-    in the readers' words."""
+    """Vectors as one float32 matrix, stacked once; vectors of more than
+    one shape as a list of float32 arrays, which the writers refuse in the
+    readers' words."""
     try:
         return np.array(vectors, dtype=np.float32)
     except ValueError:
@@ -514,15 +527,13 @@ def _write_records(path, head, kind, vectors_key, records) -> None:
 def write_gallery(gallery: Gallery, path) -> None:
     """Write a gallery as a single JSON document (labels sorted); what
     read_gallery would refuse raises ValueError and writes nothing."""
-    if not gallery.entries:
-        raise EmptyGallery("refusing to write a gallery with no prototypes")
     _write_records(
         path, lambda dim: '{"version":%d,"method":%s,"k":%s,"seed":%s,"embedding_dim":%d,'
         '"entries":[' % (GALLERY_VERSION, json.dumps(gallery.method), json.dumps(gallery.k),
                          json.dumps(gallery.seed), dim),
         "entry", "prototypes",
-        [(label, "", [p.source_frame for p in protos], [p.vector for p in protos])
-         for label, protos in sorted(gallery.entries.items())])
+        [(label, "", gallery.source_frames[label], gallery.entries[label])
+         for label in gallery.labels])
 
 
 def read_gallery(path) -> Gallery:
@@ -531,11 +542,10 @@ def read_gallery(path) -> Gallery:
     doc = _read_document(path, "gallery", GALLERY_VERSION)
     try:
         dim = _size("embedding_dim", doc["embedding_dim"])
-        entries = {label: [Prototype(vec, f) for f, vec in zip(frames, rows)]
-                   for _, label, frames, rows in _records(
-                       "entry", doc["entries"], "prototypes", dim)}
-        return Gallery(entries=entries, method=doc["method"],
-                       k=doc.get("k"), seed=doc.get("seed"))
+        entries, source_frames = {}, {}
+        for _, label, frames, rows in _records("entry", doc["entries"], "prototypes", dim):
+            entries[label], source_frames[label] = rows, frames
+        return Gallery(entries, source_frames, doc["method"], doc.get("k"), doc.get("seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gallery document: {exc}")
 
@@ -562,20 +572,26 @@ def read_tracks(path):
 
 
 def write_truth(stream, path) -> None:
-    """Write ground-truth presence (plus stream metadata) as JSON."""
-    doc = {
+    """Write ground-truth presence (plus stream metadata) as JSON; what
+    read_truth would refuse raises ValueError in its words, writing nothing."""
+    text = _dump({
         "version": TRUTH_VERSION,
         **_header_fields(stream),
         "missing_in_training": list(stream.missing_in_training),
         "presence": {str(f): list(stream.presence[f])
                      for f in sorted(stream.presence)},
-    }
-    _write_lines(path, [_dump(doc)])
+    })
+    _truth(json.loads(text), ValueError)
+    _write_lines(path, [text])
 
 
 def read_truth(path):
     """Read a truth file back into a detection-free GroundTruthStream."""
-    doc = _read_document(path, "truth", TRUTH_VERSION)
+    return _truth(_read_document(path, "truth", TRUTH_VERSION), ParseError)
+
+
+def _truth(doc, error):
+    """read_truth's rule: a truth document's GroundTruthStream, or `error`."""
     try:
         presence = doc["presence"]
         if not isinstance(presence, dict):
@@ -593,7 +609,7 @@ def read_truth(path):
                                         doc.get("missing_in_training", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad truth document: {exc}")
+        raise error(f"bad truth document: {exc}")
 
 
 # each entry source as write_results spells it in JSON

@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyStream, OutOfOrderFrame
-from .gallery import Gallery
 from .recognizer import GalleryIndex, RecognizerConfig, area_filter
 from .types import (
     SOURCE_CLASSIFIED,
@@ -71,18 +70,14 @@ NEW_FACE_INACTIVE = "inactive"
 NEW_FACE_ACTIVE = "active"
 NEW_FACE_POLICIES = (NEW_FACE_INACTIVE, NEW_FACE_ACTIVE)
 
-# distance reported for detections matched against an empty gallery: the
-# ceiling of the cosine-distance range, i.e. "as far as possible"
-_EMPTY_GALLERY_DISTANCE = 2.0
-
 # The tracker builds its FrameEntry and FrameResult records with the bare
 # tuple constructor, _record(cls, fields), skipping FrameEntry's checks. In a
 # state that run, run_initial_window and step built, they hold: its sources
 # are the SOURCE_ constants, and its distances come from classify_batch
-# (clipped to [0, 2]), from an identity's last_distance (an earlier such
-# distance) or from _EMPTY_GALLERY_DISTANCE. A TrackedFace that a caller
-# builds or edits carries its own last_distance into reused and occluded
-# entries unchecked; stream_io.write_results refuses a bad one.
+# (clipped to [0, 2]) or from an identity's last_distance (an earlier such
+# distance). A TrackedFace that a caller builds or edits carries its own
+# last_distance into reused and occluded entries unchecked, and
+# stream_io.write_results refuses a bad one.
 _record = tuple.__new__
 
 
@@ -155,15 +150,6 @@ class TrackerState:
     classify_calls: int = 0
 
 
-def _as_index(gallery):
-    """The GalleryIndex for a Gallery, GalleryIndex or None; None when empty."""
-    if gallery is None or isinstance(gallery, GalleryIndex):
-        return gallery
-    if isinstance(gallery, Gallery) and not gallery.entries:
-        return None
-    return GalleryIndex(gallery)
-
-
 def _advance(state, frame_index):
     """Move the state's cursor to frame_index, which must be the next frame."""
     if frame_index != state.frame_cursor + 1:
@@ -178,8 +164,6 @@ def _classify_batch(state, index, detections, cfg):
     Returns (labels, distances) as two lists, one item per detection.
     detections is never empty: _step calls it only for what overlap left.
     """
-    if index is None:
-        return [UNKNOWN] * len(detections), [_EMPTY_GALLERY_DISTANCE] * len(detections)
     state.classify_calls += len(detections)
     labels, distances = index.classify_batch(
         np.array([d.embedding for d in detections]), cfg.recognizer)
@@ -260,8 +244,7 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
     kept detection is classified and every new label starts inactive. After
     the last frame, identities whose appearance ratio reaches promote_ratio
     move to the active pool with a full confidence counter. The window's own
-    FrameResults are included in the returned state. gallery is a
-    GalleryIndex, or None to match against an empty gallery.
+    FrameResults are included in the returned state; gallery is a GalleryIndex.
     """
     frames = list(frames)
     if not frames:
@@ -275,12 +258,9 @@ def run_initial_window(frames, gallery, cfg: TrackerConfig, frame_area=None) -> 
     return state
 
 
-def step(state: TrackerState, frame_index, detections, gallery, cfg: TrackerConfig,
-         frame_area=None) -> TrackerState:
-    """Advance the tracker by exactly one frame (frame_cursor + 1).
-
-    gallery is a GalleryIndex, or None to match against an empty gallery.
-    """
+def step(state: TrackerState, frame_index, detections, gallery: GalleryIndex,
+         cfg: TrackerConfig, frame_area=None) -> TrackerState:
+    """Advance the tracker by exactly one frame (frame_cursor + 1)."""
     return _step(state, frame_index, detections, gallery, cfg, frame_area, window=False)
 
 
@@ -380,14 +360,14 @@ def run(frames, gallery, cfg: TrackerConfig, frame_area=None) -> TrackerState:
     the initial window first and then one frame per step, so only the
     window is held at once. The returned state's .results covers every
     input frame, and .classify_calls counts embeddings actually classified
-    (the work the reuse and occlusion paths avoided). gallery is a Gallery,
-    a GalleryIndex or None; it is indexed once for the whole run.
+    (the work the reuse and occlusion paths avoided). gallery is a Gallery
+    or a GalleryIndex; it is indexed once for the whole run.
     """
     frames = iter(frames)
     window = list(itertools.islice(frames, cfg.window_frames()))
     if not window:
         raise EmptyStream("empty detection stream")
-    index = _as_index(gallery)
+    index = gallery if isinstance(gallery, GalleryIndex) else GalleryIndex(gallery)
     state = run_initial_window(window, index, cfg, frame_area)
     for frame_index, detections in frames:
         step(state, frame_index, detections, index, cfg, frame_area)

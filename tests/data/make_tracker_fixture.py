@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from prototrack.gallery import Gallery, Prototype
+from prototrack.gallery import Gallery
 from prototrack.stream_io import (
     StreamHeader,
     write_gallery,
@@ -81,11 +81,9 @@ def half_mix(i):
 
 def gallery():
     return Gallery(
-        entries={
-            "alice": [Prototype(one_hot(0), 0)],
-            "bob": [Prototype(one_hot(1), 0)],
-            "carol": [Prototype(one_hot(2), 0)],
-        },
+        {"alice": np.array([one_hot(0)]), "bob": np.array([one_hot(1)]),
+         "carol": np.array([one_hot(2)])},
+        {"alice": [0], "bob": [0], "carol": [0]},
         method="kmeans", k=1, seed=0)
 
 

@@ -24,7 +24,7 @@ from prototrack.evaluate import (
     score,
     sweep,
 )
-from prototrack.gallery import Gallery, Prototype, build_gallery_kmeans, kmeans
+from prototrack.gallery import Gallery, build_gallery_kmeans, kmeans
 from prototrack.recognizer import GalleryIndex, RecognizerConfig
 from prototrack.stream_io import (
     StreamHeader,
@@ -113,9 +113,9 @@ def test_criterion_01_classifier_matches_brute_force():
         while len(instances) < 100:
             instances.append(random_instance(rng))
         for entries, query in instances:
-            gallery = Gallery(entries={
-                label: [Prototype(np.asarray(v, dtype=float), 0) for v in protos]
-                for label, protos in entries.items()})
+            gallery = Gallery(
+                {label: np.array(protos, dtype=float) for label, protos in entries.items()},
+                {label: [0] * len(protos) for label, protos in entries.items()})
             labels, distances = GalleryIndex(gallery).classify_batch(query, cfg)
             want_label, want_dist = brute_force_classify(entries, query, 0.6)
             assert labels == [want_label]
@@ -192,9 +192,8 @@ def test_criterion_04_occlusion_counter_law():
             v = np.zeros(dim)
             v[i] = 1.0
             vecs.append(v)
-        gallery = GalleryIndex(Gallery(entries={
-            label: [Prototype(vec, 0)]
-            for label, vec in zip(labels, vecs)}))
+        gallery = GalleryIndex(Gallery({label: np.array([vec]) for label, vec in zip(labels, vecs)},
+                                       {label: [0] for label in labels}))
         cfg = TrackerConfig(fps=30.0)  # defaults: cap 10, min_appearances 5
 
         for trial in range(5):
@@ -511,13 +510,13 @@ def test_criterion_10_format_round_trips(tmp_path):
                     assert np.linalg.norm(da.embedding - db.embedding) < 1e-6
 
             dim = int(rng.integers(2, 65))
-            entries = {}
+            entries, frames = {}, {}
             for j in range(int(rng.integers(1, 6))):
-                entries[f"person{j:02d}"] = [
-                    Prototype(l2_normalize(rng.normal(size=dim)),
-                              int(rng.integers(0, 10000)))
-                    for _ in range(int(rng.integers(1, 9)))]
-            gallery = Gallery(entries=entries, method="kmeans",
+                drawn = [(l2_normalize(rng.normal(size=dim)), int(rng.integers(0, 10000)))
+                         for _ in range(int(rng.integers(1, 9)))]
+                entries[f"person{j:02d}"] = np.array([v for v, _ in drawn])
+                frames[f"person{j:02d}"] = [f for _, f in drawn]
+            gallery = Gallery(entries, frames, method="kmeans",
                               k=int(rng.integers(1, 17)),
                               seed=int(rng.integers(0, 100)))
             gpath = tmp_path / f"g{i}.json"
@@ -527,9 +526,9 @@ def test_criterion_10_format_round_trips(tmp_path):
             assert (back.method, back.k, back.seed) == (
                 gallery.method, gallery.k, gallery.seed)
             for label in gallery.labels:
-                for p, q in zip(gallery.entries[label], back.entries[label]):
-                    assert p.source_frame == q.source_frame
-                    assert np.linalg.norm(p.vector - q.vector) < 1e-6
+                assert back.source_frames[label] == gallery.source_frames[label]
+                assert np.linalg.norm(back.entries[label] - gallery.entries[label],
+                                      axis=1).max() < 1e-6
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,32 @@ def test_ragged_or_mixed_width_gallery_exits_2(demo, tmp_path, capsys, edit, mes
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_gallery_with_no_entries_exits_2(demo, tmp_path, capsys):
+    # a gallery holds at least one prototype: an empty one used to track
+    # every detection as a classified Unknown with no classification call
+    gallery = tmp_path / "empty.json"
+    for doc in edited_copy(demo / "gallery.json", gallery, 1):
+        doc["entries"] = []
+    code = run_cli("track", "--stream", demo / "stream.jsonl", "--gallery", gallery,
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    assert capsys.readouterr().err == "prototrack track: gallery has no prototypes\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("method", 5), ("k", "x"), ("seed", [1]), ("k", True)])
+def test_bad_gallery_metadata_exits_2_naming_the_key(demo, tmp_path, capsys, key, bad):
+    gallery = tmp_path / "bad.json"
+    for doc in edited_copy(demo / "gallery.json", gallery, 1):
+        doc[key] = bad
+    code = run_cli("track", "--stream", demo / "stream.jsonl", "--gallery", gallery,
+                   "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    assert f"bad gallery document: gallery {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("key, bad", [
     ("frame_width", 0), ("frame_height", -1080), ("frame_width", 1.5),
     ("embedding_dim", 0)])
@@ -419,6 +445,14 @@ BAD_INPUT_FILES = [
     pytest.param("gallery", "--tracks", rewritten(
         "tracks.json", 1, lambda doc: doc["tracks"][1].update(label=["x"])),
         id="tracks-label-array"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc.update(entries=[])), id="gallery-no-entries"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc.update(method=5)), id="gallery-method-number"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc.update(k="x")), id="gallery-k-string"),
+    pytest.param("track", "--gallery", rewritten(
+        "gallery.json", 1, lambda doc: doc.update(seed=[1])), id="gallery-seed-array"),
 ]
 
 # (subcommand, option, file, line, place, how the bad value goes in): each

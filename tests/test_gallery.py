@@ -14,10 +14,11 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from prototrack.errors import DuplicateLabel, EmptyInput
+from prototrack.errors import DimensionMismatch, DuplicateLabel, EmptyGallery, EmptyInput
 from prototrack.gallery import (
+    METHOD_KMEANS,
+    METHOD_SAMPLING,
     Gallery,
-    Prototype,
     TrainingTrack,
     _cluster_means,
     _plus_plus_seed,
@@ -95,14 +96,60 @@ def test_track_rejects_non_increasing_frames():
 
 
 def test_gallery_forbids_unknown_key_and_empty_entry():
-    proto = Prototype(np.array([1.0, 0.0]), 0)
+    row = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        Gallery(entries={UNKNOWN: [proto]})
-    with pytest.raises(ValueError):
-        Gallery(entries={"alice": []})
-    g = Gallery(entries={"bob": [proto], "alice": [proto]})
+        Gallery({UNKNOWN: row}, {UNKNOWN: [0]})
+    with pytest.raises(ValueError, match="n >= 1 prototypes"):
+        Gallery({"alice": np.empty((0, 2))}, {"alice": []})
+    g = Gallery({"bob": np.vstack([row, row]), "alice": row}, {"bob": [0, 1], "alice": [0]})
     assert g.labels == ("alice", "bob")
-    assert g.size() == 2
+    assert g.size() == 3
+
+
+def test_gallery_is_never_empty():
+    with pytest.raises(EmptyGallery, match="no prototypes"):
+        Gallery({}, {})
+
+
+@pytest.mark.parametrize("entries, source_frames", [
+    ({"alice": np.array([[1.0, 0.0]])}, {"bob": [0]}),          # other labels
+    ({"alice": np.array([[1.0, 0.0]])}, {}),                    # a label short
+    ({"alice": np.array([[1.0, 0.0]])}, {"alice": []}),         # a frame short
+    ({"alice": np.array([[1.0, 0.0]])}, {"alice": [0, 1]}),     # a frame over
+    ({"alice": np.array([1.0, 0.0])}, {"alice": [0, 1]}),       # not a matrix
+    ({"alice": [[1.0, 0.0]]}, {"alice": [0]}),                  # not an array
+    ({"alice": np.array([[1.0, 0.0]])}, {"alice": [0.0]}),      # a float frame
+    ({"alice": np.array([[1.0, 0.0]])}, {"alice": [True]}),     # a bool frame
+    ({"": np.array([[1.0, 0.0]])}, {"": [0]}),                  # a bad label
+])
+def test_gallery_refuses_a_bad_entry(entries, source_frames):
+    with pytest.raises(ValueError):
+        Gallery(entries, source_frames)
+
+
+def test_gallery_refuses_mixed_widths_and_takes_numpy_frames():
+    with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
+        Gallery({"alice": np.array([[1.0, 0.0]]), "bob": np.array([[1.0, 0.0, 0.0]])},
+                {"alice": [0], "bob": [0]})
+    assert Gallery({"alice": np.array([[1.0, 0.0]])}, {"alice": [np.int64(7)]}).size() == 1
+
+
+@pytest.mark.parametrize("meta", [
+    {"method": 5}, {"method": "medoids"}, {"method": None},
+    {"k": "x"}, {"k": True}, {"k": 2.0}, {"k": np.int64(2)},
+    {"seed": [1]}, {"seed": False}, {"seed": 0.5},
+])
+def test_gallery_refuses_bad_metadata(meta):
+    (key,) = meta
+    with pytest.raises(ValueError, match=f"gallery {key} must be"):
+        Gallery({"alice": np.array([[1.0, 0.0]])}, {"alice": [0]}, **meta)
+
+
+def test_gallery_metadata_of_either_method():
+    entries, frames = {"alice": np.array([[1.0, 0.0]])}, {"alice": [0]}
+    assert Gallery(entries, frames, METHOD_SAMPLING).k is None
+    g = Gallery(entries, frames, method=METHOD_KMEANS, k=4, seed=-3)
+    assert (g.method, g.k, g.seed) == ("kmeans", 4, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +350,8 @@ def test_build_kmeans_single_k1_tie_takes_first_sample():
     protos = g.entries["alice"]
     assert len(protos) == 1
     # both samples tie against the mean direction; index 0 wins
-    assert np.allclose(protos[0].vector, [1.0, 0.0])
-    assert protos[0].source_frame == 0
+    assert np.allclose(protos[0], [1.0, 0.0])
+    assert g.source_frames["alice"] == [0]
 
 
 def test_build_kmeans_identical_samples_collapse():
@@ -324,9 +371,9 @@ def test_build_kmeans_two_participants_match_partition_oracle():
         samples = track.matrix()
         # medoid property: every prototype is one of the samples
         for p in protos:
-            assert any(np.allclose(p.vector, l2_normalize(s)) for s in samples)
+            assert any(np.allclose(p, l2_normalize(s)) for s in samples)
         # and the two medoids come from different natural clusters
-        frames = sorted(p.source_frame for p in protos)
+        frames = sorted(g.source_frames[label])
         assert frames[0] in (0, 1) and frames[1] in (2, 3)
 
 
@@ -354,15 +401,17 @@ def test_build_kmeans_deterministic_and_medoid_property():
     for label in g1.labels:
         p1 = g1.entries[label]
         p2 = g2.entries[label]
-        assert [p.source_frame for p in p1] == [p.source_frame for p in p2]
-        for a, b in zip(p1, p2):
-            assert np.array_equal(a.vector, b.vector)
-        # every prototype equals a normalized input sample
+        assert g1.source_frames[label] == g2.source_frames[label]
+        assert p1.tobytes() == p2.tobytes()
+        # every prototype is the normalized input sample of its frame, bit
+        # for bit as l2_normalize gives it
         track = next(t for t in tracks if t.label == label)
-        samples = [l2_normalize(e) for _, e in track.samples]
-        for p in p1:
-            assert any(np.array_equal(p.vector, s) for s in samples)
-        assert abs(np.linalg.norm(p1[0].vector) - 1.0) < 1e-9
+        by_frame = dict(track.samples)
+        assert p1.dtype == np.float64 and p1.flags.c_contiguous
+        assert p1.tobytes() == np.stack(
+            [l2_normalize(by_frame[f]) for f in g1.source_frames[label]]).tobytes()
+        assert all(type(f) is int for f in g1.source_frames[label])
+        assert abs(np.linalg.norm(p1[0]) - 1.0) < 1e-9
 
 
 def test_build_kmeans_total_budget_split():
@@ -398,13 +447,13 @@ def test_sampling_thirty_fps_three_seconds():
     rng = np.random.default_rng(47)
     track = make_track("alice", rng.normal(size=(90, 4)), frames=range(90))
     g = build_gallery_sampling([track])
-    assert [p.source_frame for p in g.entries["alice"]] == [0, 30, 60]
+    assert g.source_frames["alice"] == [0, 30, 60]
 
 
 def test_sampling_short_track_keeps_first_frame():
     track = make_track("alice", [[1.0, 0.0], [0.0, 1.0]], frames=[0, 10])
     g = build_gallery_sampling([track])
-    assert [p.source_frame for p in g.entries["alice"]] == [0]
+    assert g.source_frames["alice"] == [0]
 
 
 def test_sampling_fractional_fps_boundaries():
@@ -413,7 +462,7 @@ def test_sampling_fractional_fps_boundaries():
                        fps=29.97)
     g = build_gallery_sampling([track])
     # ceil(k * 29.97) = 0, 30, 60, 90; 120 exceeds the last frame
-    assert [p.source_frame for p in g.entries["alice"]] == [0, 30, 60, 90]
+    assert g.source_frames["alice"] == [0, 30, 60, 90]
 
 
 def test_sampling_anchors_at_first_frame_and_skips_gaps():
@@ -421,7 +470,7 @@ def test_sampling_anchors_at_first_frame_and_skips_gaps():
     track = make_track("alice", emb, frames=[100, 120, 131, 165])
     g = build_gallery_sampling([track])
     # boundaries 100, 130, 160: first samples at/after are 100, 131, 165
-    assert [p.source_frame for p in g.entries["alice"]] == [100, 131, 165]
+    assert g.source_frames["alice"] == [100, 131, 165]
 
 
 def reference_sampling_frames(frames, fps):
@@ -450,7 +499,7 @@ def test_sampling_matches_the_boundary_by_boundary_loop():
         frames = sorted(int(f) for f in
                         rng.choice(np.arange(start, start + span), n, replace=False))
         track = make_track("alice", [[1.0, 0.0]] * n, frames=frames, fps=fps)
-        got = [p.source_frame for p in build_gallery_sampling([track]).entries["alice"]]
+        got = build_gallery_sampling([track]).source_frames["alice"]
         assert got == reference_sampling_frames(frames, fps), (fps, frames)
 
 
@@ -464,5 +513,5 @@ def test_sampling_tiny_fps_ends_quickly(fps):
     start = time.perf_counter()
     g = build_gallery_sampling([track])
     assert time.perf_counter() - start < 5.0
-    assert [p.source_frame for p in g.entries["alice"]] == \
+    assert g.source_frames["alice"] == \
         (frames if fps > 1e-308 else [0, 3])

@@ -13,7 +13,7 @@ PUBLIC = [
     "FrameEntry", "FrameResult", "Gallery", "GalleryIndex", "GroundTruthStream",
     "InfeasibleSpec", "InvalidEmbedding", "InvalidSplit", "METHOD_KMEANS",
     "METHOD_SAMPLING", "MisalignedStreams", "OutOfOrderFrame", "ParseError",
-    "PipelineError", "Prototype", "RecognizerConfig", "SOURCE_CLASSIFIED",
+    "PipelineError", "RecognizerConfig", "SOURCE_CLASSIFIED",
     "SOURCE_OCCLUDED", "SOURCE_REUSED", "ScenarioSpec", "StreamHeader",
     "SweepPoint", "TimingReport", "TrackerConfig", "TrackerState",
     "TrainingTrack", "UNKNOWN", "UnsupportedVersion", "area_filter",
@@ -26,9 +26,10 @@ PUBLIC = [
 ]
 
 # no longer exported: each was a second, one-at-a-time path, is used only
-# inside its own module, or timed what is now counted
-REMOVED = ["Classification", "TrackedFace", "classify", "cosine_distance", "iou",
-           "measure_tracker", "parse_scenario", "with_speedup"]
+# inside its own module, timed what is now counted, or wrapped a row that a
+# gallery now holds in its matrix
+REMOVED = ["Classification", "Prototype", "TrackedFace", "classify", "cosine_distance",
+           "iou", "measure_tracker", "parse_scenario", "with_speedup"]
 
 
 def test_all_is_sorted_and_unique():
@@ -36,7 +37,7 @@ def test_all_is_sorted_and_unique():
 
 
 def test_all_is_the_public_names():
-    assert len(PUBLIC) == 63
+    assert len(PUBLIC) == 62
     assert prototrack.__all__ == PUBLIC
 
 
@@ -53,7 +54,8 @@ def test_removed_name_is_not_exported(name):
 def test_removed_one_vector_helpers_are_gone_from_their_modules():
     for module, name in ((types, "cosine_distance"), (types, "iou"),
                          (recognizer, "classify"), (recognizer, "Classification"),
-                         (evaluate, "with_speedup"), (evaluate, "measure_tracker")):
+                         (evaluate, "with_speedup"), (evaluate, "measure_tracker"),
+                         (gallery, "Prototype")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert [f.name for f in dataclasses.fields(evaluate.TimingReport)] == [
         "seconds_per_frame", "frames"]

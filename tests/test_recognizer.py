@@ -1,13 +1,15 @@
 """Minimum-distance classification against the exhaustive-scan oracle."""
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from prototrack.errors import DimensionMismatch, EmptyGallery
+from prototrack.evaluate import _index_from_tracks
 from prototrack.floattext import canonical_float
-from prototrack.gallery import Gallery, Prototype
+from prototrack.gallery import Gallery, TrainingTrack
 from prototrack.recognizer import GalleryIndex, RecognizerConfig, area_filter
 from prototrack.types import UNKNOWN, BoundingBox, Detection, l2_normalize
 
@@ -33,10 +35,11 @@ def oracle_classify(embedding, entries, threshold):
 
 
 def gallery_from(entries):
-    return Gallery(entries={
-        label: [Prototype(np.asarray(v), i) for i, v in enumerate(vectors)]
-        for label, vectors in entries.items()
-    })
+    """The Gallery of a label -> list of vectors dict; each label's frames
+    count from 0."""
+    return Gallery({label: np.array(vectors, dtype=np.float64)
+                    for label, vectors in entries.items()},
+                   {label: list(range(len(vectors))) for label, vectors in entries.items()})
 
 
 def random_instance(rng):
@@ -155,8 +158,9 @@ def test_classify_tie_takes_lexicographically_smallest():
 
 
 def test_classify_empty_gallery_raises():
+    # a gallery is never empty, so there is no empty gallery to classify against
     with pytest.raises(EmptyGallery):
-        classify(np.array([1.0, 0.0]), Gallery(entries={}), RecognizerConfig())
+        classify(np.array([1.0, 0.0]), Gallery({}, {}), RecognizerConfig())
 
 
 def test_classify_dimension_mismatch():
@@ -210,13 +214,13 @@ def test_classify_batch_returns_label_list_and_distance_array():
 
 
 def test_index_rejects_mixed_dims_and_empty_input():
+    # the Gallery constructor refuses both, so no index is built of either
     with pytest.raises(DimensionMismatch):
-        GalleryIndex(gallery_from({"alice": [np.array([1.0, 0.0])],
-                                   "bob": [np.array([1.0, 0.0, 0.0])]}))
+        gallery_from({"alice": [np.array([1.0, 0.0])], "bob": [np.array([1.0, 0.0, 0.0])]})
     with pytest.raises(DimensionMismatch):
-        GalleryIndex(gallery_from({"alice": list(np.eye(2)), "bob": list(np.eye(3))}))
+        gallery_from({"alice": list(np.eye(2)), "bob": list(np.eye(3))})
     with pytest.raises(EmptyGallery):
-        GalleryIndex(Gallery(entries={}))
+        gallery_from({})
 
 
 def test_classify_invariant_under_prototype_permutation():
@@ -398,3 +402,44 @@ def test_index_holds_its_prototypes_once_as_columns():
     # no (P, d) copy is kept, nor made on the way
     assert retained < 1.1 * columns.nbytes
     assert peak < 1.1 * columns.nbytes
+
+
+def baseline_case(rng):
+    """(the baseline's all-samples GalleryIndex of three tracks, every
+    sample's l2_normalize in label order)."""
+    tracks = [TrainingTrack(label, [(f, rng.normal(size=64)) for f in range(n)], 30.0)
+              for label, n in (("bob", 40), ("alice", 25), ("carol", 1))]
+    rows = [l2_normalize(e) for t in sorted(tracks, key=lambda t: t.label)
+            for _, e in t.samples]
+    return _index_from_tracks(tracks), rows
+
+
+@pytest.mark.parametrize("dim, counts", [
+    (8, [1]),               # one label with one row
+    (32, [3, 1, 7, 2]),     # mixed row counts
+    (512, [8, 7, 8, 7]),    # files_512d's width
+    (None, None),           # the baseline's all-samples index
+])
+def test_columns_are_the_stacked_prototype_rows_in_c_order(dim, counts):
+    # q @ columns rounds by the columns' memory order: an F-ordered copy of
+    # the same values (as np.concatenate of the transposed entries gives)
+    # would write other distances
+    rng = np.random.default_rng(37)
+    if dim is None:
+        index, rows = baseline_case(rng)
+    else:
+        entries = {f"p{i}": [l2_normalize(rng.normal(size=dim)) for _ in range(n)]
+                   for i, n in reversed(list(enumerate(counts)))}
+        index = GalleryIndex(gallery_from(entries))
+        rows = [v for label in sorted(entries) for v in entries[label]]
+    stacked = np.stack(rows, axis=1)
+    assert index.columns.flags.c_contiguous
+    assert np.array_equal(index.columns.view(np.uint64), stacked.view(np.uint64))
+    queries = np.array([l2_normalize(rng.normal(size=index.dim)) for _ in range(9)] + rows[:3])
+    reference = copy.copy(index)
+    reference.columns = stacked
+    cfg = RecognizerConfig()
+    labels, distances = index.classify_batch(queries, cfg)
+    want_labels, want_distances = reference.classify_batch(queries, cfg)
+    assert labels == want_labels
+    assert np.array_equal(distances.view(np.uint64), want_distances.view(np.uint64))

@@ -14,6 +14,7 @@ import pytest
 
 from prototrack import stream_io
 from prototrack.errors import (
+    DimensionMismatch,
     EmptyGallery,
     OutOfOrderFrame,
     ParseError,
@@ -21,7 +22,7 @@ from prototrack.errors import (
 )
 from prototrack.evaluate import AccuracyReport, SweepPoint
 from prototrack.floattext import float_text
-from prototrack.gallery import Gallery, Prototype, TrainingTrack
+from prototrack.gallery import Gallery, TrainingTrack
 from prototrack.stream_io import (
     STREAM_VERSION,
     StreamHeader,
@@ -386,6 +387,88 @@ def test_write_stream_refuses_a_width_that_narrows_to_zero(tmp_path):
     assert_refused_in_the_readers_words(
         tmp_path, BoundingBox(100.0, 100.0, 1e-50, 96.0), words,
         lambda det: det["box"].__setitem__(2, 0.0))
+
+
+def assert_detection_refused_in_the_readers_words(tmp_path, bad, words, edit):
+    """write_stream refuses a stream holding the detection `bad` at frame
+    66, with the reader's `words` naming the frame, and leaves no new file
+    and keeps an existing one; the reader refuses the stream that `edit`
+    makes of a written one with the same words, at its line."""
+    frames = [(f, [Detection(f, BOX, unit(0), "alice")]) for f in range(70)]
+    frames[66][1].append(bad)
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("an earlier file\n")
+    for path in (tmp_path / "new.jsonl", kept):
+        with pytest.raises(ValueError) as exc:
+            write_stream(path, HEADER, frames)
+        assert str(exc.value) == f"frame 66: {words}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert kept.read_text() == "an earlier file\n"
+
+    path = stream_with_line_3(tmp_path, edit)
+    with pytest.raises(ParseError) as exc:
+        read_stream(path)
+    assert str(exc.value) == f"line 3: {words}"
+
+
+@pytest.mark.parametrize("value, spelled", [
+    (math.nan, math.nan),
+    (1e39, math.inf),       # finite in float64, Infinity in float32
+    (-1e39, -math.inf),
+])
+def test_write_stream_refuses_a_non_finite_embedding(tmp_path, value, spelled):
+    embedding = unit(1)
+    embedding[3] = value
+    assert_detection_refused_in_the_readers_words(
+        tmp_path, Detection(66, BOX, embedding), "non-finite embedding",
+        lambda det: det["embedding"].__setitem__(3, spelled))
+
+
+@pytest.mark.parametrize("embedding", [np.zeros(DIM), np.full(DIM, 1e-50)])
+def test_write_stream_refuses_a_zero_embedding(tmp_path, embedding):
+    # 1e-50 is not zero in float64, but 0.0 in the float32 the file stores
+    assert_detection_refused_in_the_readers_words(
+        tmp_path, Detection(66, BOX, embedding), "zero embedding",
+        lambda det: det.__setitem__("embedding", [0.0] * DIM))
+
+
+@pytest.mark.parametrize("others, width, frame", [
+    (DIM, DIM - 1, 66),  # one row of another width: a ragged chunk
+    (DIM, DIM + 1, 66),
+    (3, 3, 0),           # every row of a width the header does not declare
+])
+def test_write_stream_refuses_an_embedding_of_another_width(tmp_path, others, width, frame):
+    frames = [(f, [Detection(f, BOX, np.ones(others) / others ** 0.5)]) for f in range(70)]
+    frames[66][1].append(Detection(66, BOX, np.ones(width) / width ** 0.5))
+    with pytest.raises(ValueError) as exc:
+        write_stream(tmp_path / "s.jsonl", HEADER, frames)
+    assert str(exc.value) == f"frame {frame}: embedding has dim ({width},), header says {DIM}"
+    assert not (tmp_path / "s.jsonl").exists()
+    path = stream_with_line_3(tmp_path, lambda det: det.__setitem__(
+        "embedding", [0.5] * width))
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 3: embedding has dim ({width},), header says {DIM}")):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("gt_label", [5, True, ["alice"]])
+def test_write_stream_refuses_a_gt_label_that_is_not_a_string(tmp_path, gt_label):
+    assert_detection_refused_in_the_readers_words(
+        tmp_path, Detection(66, BOX, unit(1), gt_label),
+        f"bad detection record: gt_label must be a JSON string: {gt_label!r}",
+        lambda det: det.__setitem__("gt_label", gt_label))
+
+
+def test_write_stream_screen_passes_what_the_reader_reads(tmp_path):
+    # a subnormal float32 row is not zero, and a string subclass label is a
+    # JSON string: both are written and read back
+    tiny = np.zeros(DIM)
+    tiny[2] = 1e-45
+    path = tmp_path / "s.jsonl"
+    write_stream(path, HEADER, [(0, [Detection(0, BOX, tiny, np.str_("bob"))]), (1, [])])
+    with pytest.warns(UserWarning, match="re-normalizing"):
+        _, [(_, [d]), (_, [])] = read_stream(path)
+    assert d.gt_label == "bob" and d.embedding[2] == 1.0
 
 
 def test_stream_empty_file_rejected(tmp_path):
@@ -810,12 +893,8 @@ def test_stream_small_drift_silently_normalized(tmp_path):
 
 
 def small_gallery():
-    return Gallery(
-        entries={
-            "bob": [Prototype(unit(1), 30), Prototype(unit(2), 60)],
-            "alice": [Prototype(unit(0), 0)],
-        },
-        method="kmeans", k=2, seed=7)
+    return Gallery({"bob": np.array([unit(1), unit(2)]), "alice": np.array([unit(0)])},
+                   {"bob": [30, 60], "alice": [0]}, method="kmeans", k=2, seed=7)
 
 
 def test_gallery_round_trip(tmp_path):
@@ -825,11 +904,10 @@ def test_gallery_round_trip(tmp_path):
     back = read_gallery(path)
     assert back.labels == ("alice", "bob")
     assert back.method == "kmeans" and back.k == 2 and back.seed == 7
-    assert {len(p.vector) for protos in back.entries.values() for p in protos} == {DIM}
+    assert {rows.shape[1] for rows in back.entries.values()} == {DIM}
     for label in g.labels:
-        for p, q in zip(g.entries[label], back.entries[label]):
-            assert p.source_frame == q.source_frame
-            assert np.linalg.norm(p.vector - q.vector) < 1e-6
+        assert back.source_frames[label] == g.source_frames[label]
+        assert np.linalg.norm(back.entries[label] - g.entries[label], axis=1).max() < 1e-6
 
 
 def test_gallery_write_is_deterministic_and_label_sorted(tmp_path):
@@ -842,8 +920,42 @@ def test_gallery_write_is_deterministic_and_label_sorted(tmp_path):
 
 
 def test_gallery_empty_write_refused(tmp_path):
-    with pytest.raises(EmptyGallery):
-        write_gallery(Gallery(entries={}), tmp_path / "g.json")
+    # no Gallery is empty, so there is none to write
+    with pytest.raises(EmptyGallery, match="no prototypes"):
+        write_gallery(Gallery({}, {}), tmp_path / "g.json")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_gallery_with_no_entries_is_refused_on_read(tmp_path):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc["entries"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EmptyGallery, match="no prototypes"):
+        read_gallery(path)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("method", 5), ("method", "medoids"), ("method", None),
+    ("k", "x"), ("k", True), ("k", 2.0), ("seed", [1]), ("seed", False), ("seed", 0.5)])
+def test_gallery_metadata_is_checked_on_read(tmp_path, key, bad):
+    path = tmp_path / "g.json"
+    write_gallery(small_gallery(), path)
+    doc = json.loads(path.read_text())
+    doc[key] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"^bad gallery document: gallery {key} must be"):
+        read_gallery(path)
+
+
+def test_gallery_metadata_of_the_sampling_method_reads_back(tmp_path):
+    path = tmp_path / "g.json"
+    g = small_gallery()
+    write_gallery(Gallery(g.entries, g.source_frames, method="sampling"), path)
+    back = read_gallery(path)
+    assert (back.method, back.k, back.seed) == ("sampling", None, None)
+    assert json.loads(path.read_text())["k"] is None
 
 
 def test_gallery_unsupported_version(tmp_path):
@@ -1238,7 +1350,7 @@ def build(label, frames):
     constructors either accept both or raise ValueError."""
     rng = np.random.default_rng(len(frames))
     samples = [(f, rand_unit(rng)) for f in frames]
-    return (Gallery(entries={label: [Prototype(v, f) for f, v in samples]}),
+    return (Gallery({label: np.array([v for _, v in samples])}, {label: frames}),
             TrainingTrack(label, samples, 30.0))
 
 
@@ -1246,9 +1358,10 @@ def assert_read_back(tmp_path, gallery, track):
     """Both written and read back with the same label, frames and vectors."""
     write_gallery(gallery, tmp_path / "g.json")
     write_tracks([track], tmp_path / "t.json")
-    [(label, protos)] = read_gallery(tmp_path / "g.json").entries.items()
+    gallery = read_gallery(tmp_path / "g.json")
+    [label] = gallery.labels
     [back] = read_tracks(tmp_path / "t.json")
-    for got_label, got in ((label, [(p.source_frame, p.vector) for p in protos]),
+    for got_label, got in ((label, list(zip(gallery.source_frames[label], gallery.entries[label]))),
                            (back.label, back.samples)):
         assert got_label == track.label and type(got_label) is str
         assert [f for f, _ in got] == [f for f, _ in track.samples]
@@ -1257,7 +1370,7 @@ def assert_read_back(tmp_path, gallery, track):
 
 
 def test_writers_write_only_what_their_readers_read_back(tmp_path):
-    """Whatever Gallery, Prototype and TrainingTrack accept, write_gallery and
+    """Whatever Gallery and TrainingTrack accept, write_gallery and
     write_tracks write, and the readers read back equal. Any other label or
     frame is a ValueError when the object is built."""
     for label, frames in ((5, [0]), ("p01", [0.5, 1.5])):
@@ -1295,12 +1408,17 @@ REFUSED_VECTORS = [
 
 def written_objects(vectors):
     """A gallery and tracks holding `vectors` ({label: [vector]}), each
-    vector's frame its index."""
+    vector's frame its index. The gallery is None where its constructor
+    refuses the vectors' shapes: one width per gallery, one matrix per
+    label."""
     samples = {label: [(f, np.asarray(v, dtype=np.float64)) for f, v in enumerate(vs)]
                for label, vs in vectors.items()}
-    return (Gallery(entries={label: [Prototype(v, f) for f, v in ss]
-                             for label, ss in samples.items()}),
-            [TrainingTrack(label, ss, 30.0) for label, ss in samples.items()])
+    try:
+        gallery = Gallery({label: np.array([v for _, v in ss]) for label, ss in samples.items()},
+                          {label: [f for f, _ in ss] for label, ss in samples.items()})
+    except (ValueError, DimensionMismatch):
+        gallery = None
+    return gallery, [TrainingTrack(label, ss, 30.0) for label, ss in samples.items()]
 
 
 @pytest.mark.parametrize("vectors, message", REFUSED_VECTORS, ids=[
@@ -1308,8 +1426,12 @@ def written_objects(vectors):
     "widths-within-a-label", "not-1-d"])
 def test_writers_refuse_vectors_before_opening_the_file(tmp_path, vectors, message):
     gallery, tracks = written_objects(vectors)
-    for write, obj, words in ((write_gallery, gallery, ("entry", "prototypes")),
-                              (write_tracks, tracks, ("track", "embeddings"))):
+    writers = [(write_tracks, tracks, ("track", "embeddings"))]
+    # widths and shapes that no Gallery holds reach only write_tracks
+    assert (gallery is None) == ("{vectors}" in message)
+    if gallery is not None:
+        writers.insert(0, (write_gallery, gallery, ("entry", "prototypes")))
+    for write, obj, words in writers:
         kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
         kept.write_text("an earlier file")
         match = f"^{words[0]} " + message.format(vectors=words[1])
@@ -1393,6 +1515,11 @@ def test_writers_write_only_vectors_their_readers_read_back(tmp_path):
             path, by_hand = tmp_path / f"{kind}.json", tmp_path / f"{kind}.by_hand.json"
             path.unlink(missing_ok=True)
             by_hand.write_text(json.dumps(doc))
+            if obj is None:  # mixed widths: no Gallery holds them, nor reads them
+                with pytest.raises(ParseError) as refusal:
+                    read(by_hand)
+                reasons.add(str(refusal.value).split(": ", 2)[2].split(" ")[0])
+                continue
             try:
                 write(obj, path)
             except ValueError as exc:
@@ -1506,6 +1633,40 @@ def test_truth_label_lists_must_be_arrays_of_strings(tmp_path, key, bad, message
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="^bad truth document: " + message):
         read_truth(path)
+
+
+@pytest.mark.parametrize("fields, words", [
+    ({"fps": math.nan}, "fps must be finite: non-finite value in [nan]"),
+    ({"fps": 1e309}, "fps must be finite: non-finite value in [inf]"),
+    ({"frame_width": 100.0}, "frame_width must be an integer >= 1: 100.0"),
+    ({"embedding_dim": 0}, "embedding_dim must be an integer >= 1: 0"),
+    ({"presence": {0: (5,)}}, "presence[0] item must be a JSON string: 5"),
+    ({"presence": {"x": ("alice",)}},
+     "invalid literal for int() with base 10: 'x'"),
+    ({"presence": {" 7": ("alice",)}}, "presence key ' 7' is not a decimal integer"),
+    ({"missing_in_training": (3,)}, "missing_in_training item must be a JSON string: 3"),
+])
+def test_write_truth_refuses_what_read_truth_refuses(tmp_path, fields, words):
+    stream = GroundTruthStream(**{
+        "fps": 30.0, "frame_width": 1280, "frame_height": 720, "embedding_dim": DIM,
+        "frames": [], "presence": {0: ("alice",)}, **fields})
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("an earlier file")
+    for path in (kept, absent):
+        with pytest.raises(ValueError) as exc:
+            write_truth(stream, path)
+        assert str(exc.value) == f"bad truth document: {words}"
+    assert kept.read_text() == "an earlier file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+    # the reader refuses the document the writer would have written, in the same words
+    doc = {"version": 1, "fps": canonical_float(stream.fps), "frame_width": stream.frame_width,
+           "frame_height": stream.frame_height, "embedding_dim": stream.embedding_dim,
+           "missing_in_training": list(stream.missing_in_training),
+           "presence": {str(f): list(labels) for f, labels in stream.presence.items()}}
+    absent.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as exc:
+        read_truth(absent)
+    assert str(exc.value) == f"bad truth document: {words}"
 
 
 @pytest.mark.parametrize("reader", [read_gallery, read_tracks, read_truth])

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from prototrack import tracker
-from prototrack.errors import EmptyStream, OutOfOrderFrame
-from prototrack.gallery import Gallery, Prototype
+from prototrack.errors import EmptyGallery, EmptyStream, OutOfOrderFrame
+from prototrack.gallery import Gallery
 from prototrack.recognizer import GalleryIndex, RecognizerConfig
 from prototrack.stream_io import read_gallery, read_stream, write_results
 from prototrack.tracker import (
@@ -70,11 +70,9 @@ BOX_FAR = BoundingBox(1200, 600, 96, 96)
 
 
 def gallery():
-    return GalleryIndex(Gallery(entries={
-        "alice": [Prototype(ALICE, 0)],
-        "bob": [Prototype(BOB, 0)],
-        "carol": [Prototype(CAROL, 0)],
-    }))
+    return GalleryIndex(Gallery(
+        {"alice": np.array([ALICE]), "bob": np.array([BOB]), "carol": np.array([CAROL])},
+        {"alice": [0], "bob": [0], "carol": [0]}))
 
 
 def det(frame, box, emb):
@@ -360,15 +358,11 @@ def test_run_empty_stream_raises():
             run(frames, gallery(), cfg())
 
 
-def test_run_empty_gallery_everything_unknown():
+def test_run_refuses_an_empty_gallery():
+    # a gallery holds at least one prototype, so no run meets an empty one
     frames = steady_frames(90, [(BOX_A, ALICE)])
-    state = run(frames, Gallery(entries={}), cfg())
-    assert state.classify_calls == 0
-    assert not state.active and not state.inactive
-    for result in state.results:
-        (entry,) = result.entries
-        assert entry.label == UNKNOWN
-        assert entry.distance == 2.0
+    with pytest.raises(EmptyGallery, match="no prototypes"):
+        run(frames, Gallery({}, {}), cfg())
 
 
 def test_run_clean_stream_labels_every_frame():
@@ -827,23 +821,23 @@ def unit(v):
 
 
 def random_case(rng, policy):
-    """(frames, window length, GalleryIndex or None, config, frame area).
+    """(frames, window length, GalleryIndex, config, frame area).
 
     Up to five people, each present in a random share of frames with a
     jittered box and a noisy embedding, sometimes twice in one frame, plus
-    strangers. The last person may be missing from the gallery, and one
-    case in eight has no gallery at all. The area filter is off, absolute
-    or fractional, and the stream may start past frame 0.
+    strangers. The last person may be missing from the gallery, and a
+    gallery with nobody enrolled holds one stranger. The area filter is
+    off, absolute or fractional, and the stream may start past frame 0.
     """
     people = int(rng.integers(1, 6))
     centres = [unit(rng.normal(size=DIM)) for _ in range(people)]
     enrolled = people if rng.random() < 0.7 else people - 1
-    index = None
-    if enrolled and rng.random() >= 0.125:
-        index = GalleryIndex(Gallery(entries={
-            f"p{i}": [Prototype(unit(centres[i] + 0.2 * rng.normal(size=DIM)), 0)
-                      for _ in range(int(rng.integers(1, 4)))]
-            for i in range(enrolled)}))
+    entries = {
+        f"p{i}": np.array([unit(centre + 0.2 * rng.normal(size=DIM))
+                           for _ in range(int(rng.integers(1, 4)))])
+        for i, centre in enumerate(centres[:enrolled] or [unit(rng.normal(size=DIM))])}
+    index = GalleryIndex(Gallery(entries, {label: [0] * len(rows)
+                                           for label, rows in entries.items()}))
     presence = rng.uniform(0.05, 1.0, people)
     places = [(rng.uniform(0, 1700), rng.uniform(0, 900), rng.uniform(40, 120))
               for _ in range(people)]
@@ -893,7 +887,7 @@ def assert_same_state(got, want):
 @pytest.mark.parametrize("policy", [tracker.NEW_FACE_INACTIVE, NEW_FACE_ACTIVE])
 def test_window_steps_match_the_former_window(policy):
     rng = np.random.default_rng(1103 if policy == NEW_FACE_ACTIVE else 1109)
-    seen = {"active": 0, "inactive": 0, "unknown": 0, "no gallery": 0, "tail": 0}
+    seen = {"active": 0, "inactive": 0, "unknown": 0, "tail": 0}
     for _ in range(200):
         frames, window, index, config, frame_area = random_case(rng, policy)
         want = reference_run_initial_window(frames[:window], index, config, frame_area)
@@ -906,7 +900,6 @@ def test_window_steps_match_the_former_window(policy):
         seen["active"] += bool(got.active)
         seen["inactive"] += bool(got.inactive)
         seen["unknown"] += any(UNKNOWN in r.labels() for r in got.results)
-        seen["no gallery"] += index is None
         seen["tail"] += len(frames) > window
     assert all(seen.values()), seen
 
@@ -1052,7 +1045,7 @@ def exact(value):
 def test_run_matches_the_former_step(policy, monkeypatch):
     rng = np.random.default_rng(1601 if policy == NEW_FACE_ACTIVE else 1607)
     seen = dict.fromkeys(("promoted", "demoted", "occluded", "placeholder dropped",
-                          "relabeled", "reused relabeled", "no gallery",
+                          "relabeled", "reused relabeled",
                           "reuse only, inactive tracked", "reuse only, active missing"), 0)
 
     def counting_resolve(detected, placeholders, resolve=_resolve_frame):
@@ -1078,7 +1071,6 @@ def test_run_matches_the_former_step(policy, monkeypatch):
         for pool in ("active", "inactive"):  # keys in insertion order
             assert exact(list(getattr(got, pool).items())) == \
                 exact(list(getattr(want, pool).items()))
-        seen["no gallery"] += index is None
     assert all(seen.values()), seen
 
 

@@ -35,8 +35,9 @@ the two sides taking turns to go first; the report gives each side's
 fastest time and the ratio of the other side's to this side's (above 1
 when this checkout is faster), and whether the two streams are the same:
 frames, labels and presence equal, and every box and embedding float equal
-by its bits. The trackers then run on this side's stream, and the other
-side indexes the same gallery. Both trackers run the same frames
+by its bits. The trackers then run on this side's stream, each side
+indexing the k-means gallery that its own `build_gallery_kmeans` builds
+from this side's training tracks. Both trackers run the same frames
 ``--passes`` times, interleaved frame by frame: the two initial windows,
 then each frame's two `step()` calls, the two sides taking turns to go
 first from one pass to the next. The table gives each side's initial
@@ -135,12 +136,11 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def setup(stream, train_seconds, k):
-    """(test frames, gallery, TrackerConfig, frame area) of a generated
-    scenario."""
+def setup(stream, train_seconds):
+    """(test frames, training tracks, TrackerConfig, frame area) of a
+    generated scenario."""
     tracks, test = synth.split_train_test(stream, train_seconds)
-    gallery = build_gallery_kmeans(tracks, k=k, seed=0)
-    return test.frames, gallery, tracker.TrackerConfig(fps=test.fps), test.frame_area
+    return test.frames, tracks, tracker.TrackerConfig(fps=test.fps), test.frame_area
 
 
 def table(passes):
@@ -274,12 +274,15 @@ def against(args, spec):
           + ("identical" if generated_same else "DIFFER"))
     stream = streams[0]
     del streams
-    frames, gallery, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
+    frames, tracks, cfg, frame_area = setup(stream, synth.default_train_seconds(spec))
     del stream
-    other_index = importlib.import_module(f"{other.__name__}.recognizer").GalleryIndex(gallery)
+    # each side's gallery is its own type, built by its own gallery module
+    other_gallery = importlib.import_module(f"{other.__name__}.gallery")
+    other_index = importlib.import_module(f"{other.__name__}.recognizer").GalleryIndex(
+        other_gallery.build_gallery_kmeans(tracks, k=args.k, seed=0))
     other_cfg = other_tracker.TrackerConfig(fps=cfg.fps)
     fastest, same = interleaved_passes(frames, [
-        (tracker, GalleryIndex(gallery), cfg, frame_area),
+        (tracker, GalleryIndex(build_gallery_kmeans(tracks, k=args.k, seed=0)), cfg, frame_area),
         (other_tracker, other_index, other_cfg, frame_area)], args.passes)
     print(f"{'side':<9}{'window_us':>11}{'steps':>7}{'steps_us':>11}{'total_us':>11}")
     for name, calls in zip(("this", "against"), fastest):
@@ -306,9 +309,10 @@ def main(argv=None):
     stream = synth.generate(spec)
     detections = sum(len(dets) for _, dets in stream.frames)
     generated_mb = peak_rss_mb()
-    frames, gallery, cfg, frame_area = setup(stream, synth.default_train_seconds(spec), args.k)
+    frames, tracks, cfg, frame_area = setup(stream, synth.default_train_seconds(spec))
     del stream  # the passes hold the test frames and the gallery only
-    index = GalleryIndex(gallery)
+    index = GalleryIndex(build_gallery_kmeans(tracks, k=args.k, seed=0))
+    del tracks
     passes = []
     for _ in range(args.passes):
         state, *timings = timed_pass(frames, index, cfg, frame_area)
